@@ -31,10 +31,10 @@ import numpy as np
 # Mirrors ``repro.runtime.TIER_CHOICES``; kept as a literal so building the
 # argument parser (``repro --help``) never imports the runtime stack.  A
 # test asserts the two stay in sync.
-_TIER_CHOICES = ("auto", "interpreter", "fastpath", "replay", "codegen")
+_TIER_CHOICES = ("auto", "reference", "codegen")
 _TIER_HELP = (
-    "execution tier: auto (replay + Tier-3 codegen when compiled at O2), "
-    "interpreter, fastpath, replay, or codegen"
+    "execution tier: auto (replay cache + codegen macro-kernels when "
+    "compiled at O2), reference (the per-node walk), or codegen"
 )
 
 
@@ -91,7 +91,6 @@ def _cmd_models(args) -> int:
 
 def _cmd_bench(args) -> int:
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.ncore.fastpath import set_fastpath_default
     from repro.perf.simbench import measure_inner_loop
     from repro.perf.system import get_system
 
@@ -99,7 +98,6 @@ def _cmd_bench(args) -> int:
         print(f"unknown model {args.model!r}; try one of "
               f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
         return 2
-    set_fastpath_default(args.fastpath and args.tier != "interpreter")
     system = get_system(args.model)
     split = system.workload_split()
     print(f"{system.info.display} on one CHA socket")
@@ -109,11 +107,10 @@ def _cmd_bench(args) -> int:
     print(f"  SingleStream latency: {system.single_stream_latency_seconds() * 1e3:8.3f} ms")
     print(f"  Offline throughput:   {system.offline_throughput_ips(cores=args.cores):8.1f} IPS "
           f"({args.cores} cores)")
-    use_fastpath = args.fastpath and args.tier != "interpreter"
-    inner = measure_inner_loop(fastpath=use_fastpath)
-    tier = "fastpath" if use_fastpath else "interpreter"
+    inner = measure_inner_loop(fastpath=args.fastpath)
+    machine_tier = "fastpath" if args.fastpath else "interpreter"
     print(f"  Simulator inner loop: {inner['cycles_per_second']:8.0f} cycles/s "
-          f"({tier})")
+          f"({machine_tier})")
     if args.tier != "auto":
         from repro.perf.simbench import measure_zoo_end_to_end
 
@@ -126,7 +123,7 @@ def _cmd_bench(args) -> int:
                   f"macro-kernels")
             if coverage == 0.0:
                 print(f"  warning: tier {args.tier!r} covered no segments of "
-                      f"{args.model}; queries fell back to the interpreter walk",
+                      f"{args.model}; queries fell back to the reference walk",
                       file=sys.stderr)
     return 0
 
@@ -154,16 +151,6 @@ def _cmd_serve(args) -> int:
     slo_seconds = args.slo_ms * 1e-3 if args.slo_ms is not None else None
     telemetry_interval = args.interval if args.telemetry else None
     with contextlib.ExitStack() as stack:
-        if args.tier != "auto":
-            from repro.runtime import (
-                TierPolicy,
-                get_default_tier_policy,
-                set_default_tier_policy,
-            )
-
-            previous_policy = get_default_tier_policy()
-            set_default_tier_policy(TierPolicy.for_tier(args.tier))
-            stack.callback(set_default_tier_policy, previous_policy)
         registry = None
         if args.telemetry or args.prometheus:
             registry = stack.enter_context(install_metrics(MetricsRegistry()))
@@ -508,12 +495,19 @@ def _cmd_run(args) -> int:
         print(f"  output {name}: shape {value.shape}, "
               f"range [{value.min():.4g}, {value.max():.4g}]")
     timing = result.timing
+    tier = session.executor.last_tier
     print(f"  latency: {timing.total_seconds * 1e6:.1f} us "
-          f"(Ncore {timing.ncore_fraction:.0%}, "
-          f"tier {session.executor.last_tier})")
+          f"(Ncore {timing.ncore_fraction:.0%}, tier {tier})")
     exit_code = 0
+    if args.tier == "codegen" and tier != "codegen":
+        print(f"tier codegen requested but no macro-kernel ran; the query "
+              f"was served by the {tier} walk (macro-kernels are emitted "
+              "only by an O2 compile)", file=sys.stderr)
+        exit_code = 1
     if args.sanitize:
-        exit_code = _sanitize_session(session, compiled, result, feeds, args.seed)
+        exit_code = max(
+            exit_code, _sanitize_session(session, compiled, result, feeds, args.seed)
+        )
     session.close()
     return exit_code
 
@@ -740,8 +734,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--cores", type=int, default=8)
     bench.add_argument(
         "--fastpath", action=argparse.BooleanOptionalAction, default=True,
-        help="use the trace-fused simulator tier (--no-fastpath for the "
-             "pure interpreter)",
+        help="time the Fig. 6 inner loop on the trace-fused machine "
+             "(--no-fastpath for the pure instruction interpreter)",
     )
     bench.add_argument(
         "--tier", choices=_TIER_CHOICES, default="auto",
@@ -761,9 +755,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dynamic batching: seal after this many microseconds")
     serve.add_argument("--cores", type=int, default=8, help="x86 cores per socket")
     serve.add_argument("--sockets", type=int, default=1)
-    serve.add_argument("--tier", choices=_TIER_CHOICES, default="auto",
-                       help=_TIER_HELP + " (installed as the default tier "
-                            "policy for every serving executor)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--slo-ms", type=float, default=None,
                        help="arm the SLO monitor with this latency target "

@@ -4,15 +4,15 @@ The paper debugs MLPerf bring-up by reading performance counters against
 the known kernel schedule (Fig. 10).  This module systematises that: it
 maps retired cycles and DMA bytes back through the compiled artifact —
 GIR segment -> op -> lowered kernel — and stamps each execution with the
-tier that actually ran it (``interpreter`` / ``fastpath`` trace fusion /
-``replay`` cache hit / the serving harness's analytic ``timing-model``).
+executor path that actually ran it: the per-node ``reference`` walk,
+``codegen`` macro-kernels (at least one ran), a ``replay`` cache hit, or
+the serving harness's analytic ``timing-model``.
 
 Two outputs:
 
 - **Segment feature records** (JSONL): per-segment op mix, output
-  shapes, streamed DMA bytes, loop trip counts, MACs and cycles — the
-  exact training schema the learned cycle-predictor tier (ROADMAP item
-  3, NeuroScalar/SimNet in PAPERS.md) consumes.  Harvest with
+  shapes, streamed DMA bytes, loop trip counts, MACs and cycles, one
+  record per (segment, tier).  Harvest with
   ``repro serve <model> --harvest run.jsonl``.
 - **Collapsed stacks** for flamegraph tooling
   (``model;segment[i];tier;op;kernel cycles`` — feed straight into
@@ -31,8 +31,7 @@ if TYPE_CHECKING:
     from repro.graph.loadable import CompiledModel
 
 #: Execution tiers a record can be attributed to.
-TIER_INTERPRETER = "interpreter"
-TIER_FASTPATH = "fastpath"
+TIER_REFERENCE = "reference"
 TIER_REPLAY = "replay"
 TIER_CODEGEN = "codegen"
 TIER_TIMING_MODEL = "timing-model"
@@ -159,9 +158,7 @@ class AttributionCollector:
 
         Emits one record per segment: the static features plus the tier,
         batch size and execution count.  A replay hit contributes records
-        with ``tier="replay"`` — its cycles are the cycles *avoided*,
-        which is exactly what a predictor trained on this harvest needs
-        to see labelled.
+        with ``tier="replay"`` — its cycles are the cycles *avoided*.
         """
         if count < 1:
             return

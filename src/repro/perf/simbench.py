@@ -106,7 +106,7 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
         # real topology — unrolled lstm_step encoder, attention decoder,
         # embeddings and the softmax/mean float tails — at a scale where
         # the encoder's redundant per-step sequence projection (what the
-        # Tier-3 seqfuse variant eliminates) dominates the interpreter
+        # codegen seqfuse variant eliminates) dominates the reference
         # walk, as it does at the paper's 1024-wide full size.  The wide
         # hidden matters: the projection is BLAS-bound (grows with h**2)
         # while the per-step costs both tiers share are numpy-call-
@@ -131,27 +131,21 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
 def measure_zoo_end_to_end(
     model_key: str = "mobilenet_v1",
     queries: int = 3,
-    replay: bool = True,
-    tier: str | None = None,
+    tier: str = "auto",
     warmup: int = 0,
 ) -> dict[str, float]:
     """Wall time for repeated end-to-end quantized inference of one zoo
     model.
 
-    With ``tier=None`` (the legacy spelling) the session runs with the
-    default policy minus/plus the tier-2 replay cache, per ``replay``.
-    Naming a ``tier`` pins the session to that rung of the ladder
-    (``interpreter`` / ``fastpath`` / ``replay`` / ``codegen``); pass
-    ``warmup`` > 0 to exclude the first-dispatch variant benchmarking and
-    oracle cross-check from the measured window.
+    ``tier`` is a :data:`~repro.runtime.TIER_CHOICES` spelling: ``auto``
+    (the default policy, replay cache included), ``reference`` or
+    ``codegen``.  Pass ``warmup`` > 0 to exclude the first-dispatch
+    variant benchmarking and oracle cross-check from the measured window.
     """
     from repro.runtime.delegate import InferenceSession
 
     model, feeds = compile_zoo_model(model_key)
-    if tier is None:
-        session = InferenceSession(model, replay=replay)
-    else:
-        session = InferenceSession(model, policy=tier)
+    session = InferenceSession(model, policy=tier)
     for _ in range(max(0, warmup)):
         session.run(feeds)
     start = time.perf_counter()
@@ -173,10 +167,10 @@ def measure_zoo_end_to_end(
     return result
 
 
-#: Tier ladder rungs compared by :func:`measure_zoo_tiers` — the ones with
-#: distinct end-to-end execution paths (tier-2 replay memoizes whole
-#: queries, which would measure the cache, not the simulator).
-ZOO_TIERS = ("interpreter", "fastpath", "codegen")
+#: Executor paths compared by :func:`measure_zoo_tiers` — the ones with
+#: distinct end-to-end execution (replay memoizes whole queries, which
+#: would measure the cache, not the simulator).
+ZOO_TIERS = ("reference", "codegen")
 
 
 def measure_zoo_tiers(
@@ -186,10 +180,10 @@ def measure_zoo_tiers(
 ) -> dict[str, Any]:
     """Steady-state zoo end-to-end throughput at each execution tier.
 
-    One warm-up query per tier (Tier 3 benchmarks its kernel variants and
-    runs the interpreter oracle on first dispatch), then ``queries`` timed
-    queries.  Returns per-tier timings plus each tier's speedup over the
-    interpreter walk.
+    One warm-up query per tier (codegen benchmarks its kernel variants
+    and runs the reference oracle on first dispatch), then ``queries``
+    timed queries.  Returns per-tier timings plus each tier's speedup
+    over the reference walk.
     """
     per_tier: dict[str, Any] = {}
     for tier in tiers:
@@ -197,10 +191,10 @@ def measure_zoo_tiers(
             model_key, queries=queries, tier=tier, warmup=1
         )
     result: dict[str, Any] = {"model": model_key, "tiers": per_tier}
-    interp = per_tier.get("interpreter")
-    if interp is not None:
+    reference = per_tier.get("reference")
+    if reference is not None:
         result["speedups"] = {
-            tier: interp["seconds"] / timing["seconds"]
+            tier: reference["seconds"] / timing["seconds"]
             for tier, timing in per_tier.items()
         }
     return result

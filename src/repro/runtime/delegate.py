@@ -14,6 +14,7 @@ portion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from repro.ncore.config import NcoreConfig
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.soc.cha import ChaSoc
+
+if TYPE_CHECKING:
+    from repro.runtime.executor import TierPolicy
 
 # Fixed software cost of one delegate transition (framework callback,
 # buffer handoff): tens of microseconds of interpreter work.
@@ -124,30 +128,12 @@ class InferenceSession:
         soc: ChaSoc | None = None,
         owner: str = "inference-session",
         verify: bool = False,
-        replay: bool | None = None,
-        policy: "object | str | None" = None,
+        policy: TierPolicy | str | None = None,
     ) -> None:
-        from dataclasses import replace as dataclass_replace
+        from repro.runtime.executor import NcoreExecutor
 
-        from repro.runtime.executor import (
-            NcoreExecutor,
-            TierPolicy,
-            get_default_tier_policy,
-        )
-
-        # ``replay`` predates TierPolicy; it stays supported as a session
-        # convenience and folds into the policy when explicitly passed.
-        if isinstance(policy, str):
-            resolved = TierPolicy.for_tier(policy)
-        elif policy is None:
-            resolved = get_default_tier_policy()
-        else:
-            assert isinstance(policy, TierPolicy)
-            resolved = policy
-        if replay is not None:
-            resolved = dataclass_replace(resolved, replay=bool(replay))
         self.executor = NcoreExecutor(
-            model, soc=soc, owner=owner, verify=verify, policy=resolved
+            model, soc=soc, owner=owner, verify=verify, policy=policy
         )
 
     @property
@@ -241,8 +227,9 @@ class InferenceSession:
         tracer = get_tracer()
         with tracer.span("delegate.run", track="delegate", model=self.model.name) as span:
             with tracer.span("delegate.execute_quantized", track="delegate"):
-                # Routed through the executor's tier ladder: replay hits,
-                # Tier-3 macro-kernels, or the interpreter walk.
+                # Routed through the executor: a replay hit, or the
+                # segment walk (macro-kernels where compiled, else the
+                # per-node reference).
                 outputs, tier = self.executor._run_quantized(feeds)
                 self.executor._attribute({tier: 1}, batch=1)
             timing = RunTiming(

@@ -25,11 +25,8 @@ the wall clock, so every schedule is deterministic.
 from __future__ import annotations
 
 import hashlib
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from dataclasses import replace as dataclass_replace
-from typing import Any
 
 import numpy as np
 
@@ -46,8 +43,7 @@ from repro.ncore.codegen import (
 )
 from repro.obs.attrib import (
     TIER_CODEGEN,
-    TIER_FASTPATH,
-    TIER_INTERPRETER,
+    TIER_REFERENCE,
     TIER_REPLAY,
     get_attrib,
 )
@@ -55,48 +51,40 @@ from repro.obs.context import TraceContext, mint_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.runtime.driver import NcoreKernelDriver
-from repro.runtime.qkernels import _execute_quantized_node, execute_quantized
+from repro.runtime.qkernels import _bind_values, _run_nodes
 from repro.soc.cha import ChaSoc
 
 #: ``--tier`` spellings accepted by :meth:`TierPolicy.for_tier` and the CLI.
-TIER_CHOICES = ("auto", "interpreter", "fastpath", "replay", "codegen")
+TIER_CHOICES = ("auto", "reference", "codegen")
 
 _ORACLE_MODES = ("off", "first", "always")
 
 
 @dataclass(frozen=True)
 class TierPolicy:
-    """Which execution tiers one executor may use.
+    """Which executor-level paths one executor may use.
 
-    Replaces the old ad-hoc ``replay``/``replay_capacity`` (and machine
-    ``fastpath``/``sanitize``) flag sprawl with one value describing the
-    tier ladder in precedence order::
+    Every query is one walk over the model's partitioned segments; the
+    policy decides what may short-circuit or speed up that walk:
 
-        predict -> replay -> codegen -> fastpath -> interpreter
-
-    - ``predict``: the learned cycle-prediction tier (ROADMAP item 3).
-      Reserved; constructing a policy with it raises until it lands.
-    - ``replay``: Tier 2 — byte-identical feeds replay cached outputs.
-    - ``codegen``: Tier 3 — AOT macro-kernels from the compile cache
-      (:mod:`repro.ncore.codegen`); falls back per segment when a
-      segment has no macro-kernel form.
-    - ``fastpath``: Tier 1 — machine-level trace fusion.  ``None``
-      defers to the process-wide default
-      (:func:`repro.ncore.fastpath.set_fastpath_default`).
-    - ``sanitize``: arm the shadow-SRAM sanitizer on the executor's
-      machine (orthogonal to tier choice; costs when armed only).
-    - ``oracle``: Tier-3 differential checking against the per-node
-      interpreter — ``"first"`` verifies each (segment, shape) once on
-      its benchmark dispatch (the default), ``"always"`` on every
+    - ``replay``: byte-identical feeds replay cached outputs instead of
+      walking at all, from an LRU of ``replay_capacity`` entries.
+    - ``codegen``: segments with an AOT macro-kernel from the compile
+      cache (:mod:`repro.ncore.codegen`) run through it; the rest, and
+      every segment when off, run the per-node reference walk.
+    - ``oracle``: differential checking of macro-kernels against the
+      reference walk — ``"first"`` verifies each (segment, shape) once
+      on its benchmark dispatch (the default), ``"always"`` on every
       dispatch, ``"off"`` never.
+
+    Machine-level paths (the Tier-1 fastpath, the shadow-SRAM sanitizer)
+    are set on the machine, not here: the query walk never steps a
+    machine.
     """
 
-    predict: bool = False
     replay: bool = True
     replay_capacity: int = 128
     codegen: bool = True
-    fastpath: bool | None = None
-    sanitize: bool = False
     oracle: str = "first"
 
     def __post_init__(self) -> None:
@@ -106,62 +94,19 @@ class TierPolicy:
             )
         if self.replay_capacity < 1:
             raise ValueError("replay_capacity must be at least 1")
-        if self.predict:
-            raise NotImplementedError(
-                "the 'predict' tier is reserved for the learned "
-                "cycle-prediction backend (ROADMAP item 3)"
-            )
 
     @classmethod
     def for_tier(cls, tier: str) -> "TierPolicy":
         """The policy that forces one named tier (the ``--tier`` flag)."""
         if tier == "auto":
             return cls()
-        if tier == "interpreter":
-            return cls(replay=False, codegen=False, fastpath=False)
-        if tier == "fastpath":
-            return cls(replay=False, codegen=False, fastpath=True)
-        if tier == "replay":
-            return cls(replay=True, codegen=False)
+        if tier == "reference":
+            return cls(replay=False, codegen=False)
         if tier == "codegen":
             return cls(replay=False, codegen=True)
         raise ValueError(
             f"unknown tier {tier!r}; choose from {TIER_CHOICES}"
         )
-
-
-_default_policy = TierPolicy()
-
-
-def get_default_tier_policy() -> TierPolicy:
-    """The process-wide policy used when an executor is given none."""
-    return _default_policy
-
-
-def set_default_tier_policy(policy: TierPolicy) -> TierPolicy:
-    """Replace the process-wide default policy; returns the previous one."""
-    global _default_policy
-    previous = _default_policy
-    _default_policy = policy
-    return previous
-
-
-#: Sentinel distinguishing 'legacy kwarg not passed' from any real value.
-_UNSET: Any = object()
-
-_legacy_warned: set[str] = set()
-
-
-def _warn_legacy_kwarg(name: str, replacement: str) -> None:
-    if name in _legacy_warned:
-        return
-    _legacy_warned.add(name)
-    warnings.warn(
-        f"NcoreExecutor({name}=...) is deprecated; pass "
-        f"policy=TierPolicy({replacement}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class NcoreExecutor:
@@ -181,18 +126,10 @@ class NcoreExecutor:
         verify: bool = True,
         policy: TierPolicy | str | None = None,
         macro_kernels: MacroKernelSet | None = None,
-        *,
-        replay: Any = _UNSET,
-        replay_capacity: Any = _UNSET,
-        fastpath: Any = _UNSET,
-        sanitize: Any = _UNSET,
     ) -> None:
         self.model = model
         self.soc = soc or ChaSoc()
-        self.policy = self._resolve_policy(
-            policy, replay=replay, replay_capacity=replay_capacity,
-            fastpath=fastpath, sanitize=sanitize,
-        )
+        self.policy = self._resolve_policy(policy)
         if verify:
             from repro.analyze import analyze_model, enforce
 
@@ -206,7 +143,7 @@ class NcoreExecutor:
         self.mapping = self.driver.open(owner)
         self._clock = self.soc.ncore.config.clock_hz
         self._dma_bpc = self.soc.ncore_to_dram_bandwidth() / self._clock
-        # Tier 2: repeated queries with identical feeds replay cached
+        # Replay: repeated queries with identical feeds replay cached
         # output tensors instead of re-running the quantized kernels.
         # Keys bind the segment to the loadable fingerprint (graph +
         # device config), so a different model or config never aliases;
@@ -215,57 +152,36 @@ class NcoreExecutor:
         self._replay_cache: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
         self._replay_prefix: str | None = None
         self.replay_stats = {"hits": 0, "misses": 0}
-        # Tier 3: AOT macro-kernels — passed in explicitly, or recovered
+        # Codegen: AOT macro-kernels — passed in explicitly, or recovered
         # from the compile cache under the model's content key.  The
         # dispatcher benchmarks each kernel's variants once per input
         # shape and pins the winner; ``policy.oracle`` controls the
-        # per-node-interpreter differential check.
+        # reference-walk differential check.
         self._macro_kernels = (
             self._load_macro_kernels(macro_kernels) if self.policy.codegen else None
         )
         self.dispatcher = MultiKernelDispatcher(oracle=self.policy.oracle)
         #: Tier that served the most recent query (attribution label).
         self.last_tier: str | None = None
-        if self.policy.sanitize:
-            self.mapping.machine().arm_sanitizer(True)
 
     @staticmethod
-    def _resolve_policy(
-        policy: TierPolicy | str | None,
-        *,
-        replay: Any,
-        replay_capacity: Any,
-        fastpath: Any,
-        sanitize: Any,
-    ) -> TierPolicy:
-        """One policy from the new argument plus any legacy kwargs."""
+    def _resolve_policy(policy: TierPolicy | str | None) -> TierPolicy:
+        """The one place a policy argument becomes a :class:`TierPolicy`."""
+        if policy is None:
+            return TierPolicy()
         if isinstance(policy, str):
-            resolved = TierPolicy.for_tier(policy)
-        elif policy is None:
-            resolved = get_default_tier_policy()
-        else:
-            resolved = policy
-        overrides: dict[str, Any] = {}
-        if replay is not _UNSET:
-            _warn_legacy_kwarg("replay", f"replay={bool(replay)}")
-            overrides["replay"] = bool(replay)
-        if replay_capacity is not _UNSET:
-            _warn_legacy_kwarg(
-                "replay_capacity", f"replay_capacity={int(replay_capacity)}"
-            )
-            overrides["replay_capacity"] = max(1, int(replay_capacity))
-        if fastpath is not _UNSET:
-            _warn_legacy_kwarg("fastpath", f"fastpath={bool(fastpath)}")
-            overrides["fastpath"] = bool(fastpath)
-        if sanitize is not _UNSET:
-            _warn_legacy_kwarg("sanitize", f"sanitize={bool(sanitize)}")
-            overrides["sanitize"] = bool(sanitize)
-        return dataclass_replace(resolved, **overrides) if overrides else resolved
+            return TierPolicy.for_tier(policy)
+        if isinstance(policy, TierPolicy):
+            return policy
+        raise TypeError(
+            "policy must be a TierPolicy, a tier name or None, "
+            f"got {type(policy).__name__}"
+        )
 
     def _load_macro_kernels(
         self, macro_kernels: MacroKernelSet | None
     ) -> MacroKernelSet | None:
-        """The Tier-3 artifact: explicit argument, else the compile cache."""
+        """The codegen artifact: explicit argument, else the compile cache."""
         if macro_kernels is not None:
             return macro_kernels
         info = getattr(self.model, "compile_info", None) or {}
@@ -281,23 +197,14 @@ class NcoreExecutor:
         return artifact if isinstance(artifact, MacroKernelSet) else None
 
     @property
-    def replay(self) -> bool:
-        """Whether the Tier-2 replay cache is enabled (policy view)."""
-        return self.policy.replay
-
-    @property
     def macro_kernels(self) -> MacroKernelSet | None:
         return self._macro_kernels
-
-    @property
-    def _replay_capacity(self) -> int:
-        return self.policy.replay_capacity
 
     def close(self) -> None:
         self.driver.close(self.mapping)
 
     # ------------------------------------------------------------------
-    # Tier-2 segment replay cache
+    # Replay cache
     # ------------------------------------------------------------------
 
     def _replay_key(self, feeds: dict[str, np.ndarray]) -> str:
@@ -335,101 +242,69 @@ class NcoreExecutor:
     def _replay_store(self, key: str, outputs: dict[str, np.ndarray]) -> None:
         self._replay_cache[key] = {name: value.copy() for name, value in outputs.items()}
         self._replay_cache.move_to_end(key)
-        while len(self._replay_cache) > self._replay_capacity:
+        while len(self._replay_cache) > self.policy.replay_capacity:
             self._replay_cache.popitem(last=False)
 
     # ------------------------------------------------------------------
-    # Tier-3 AOT macro-kernel execution
+    # The segment walk (reference, with macro-kernels where compiled)
     # ------------------------------------------------------------------
 
     def _segment_oracle(self, segment: Segment, kernel: MacroKernel):
-        """A closure computing the segment's outputs with the per-node
-        interpreter from a read-only environment (the Tier-3 oracle)."""
+        """A closure computing the segment's outputs with the reference
+        walk from a read-only environment (the codegen oracle)."""
         graph = self.model.graph
 
         def oracle(env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
             scratch = dict(env)
-            for node in segment.nodes:
-                ins = [scratch[name] for name in node.inputs]
-                outs = _execute_quantized_node(graph, node, ins)
-                for name, value in zip(node.outputs, outs, strict=False):
-                    scratch[name] = value
+            _run_nodes(graph, segment.nodes, scratch)
             return {name: scratch[name] for name in kernel.outputs}
 
         return oracle
 
-    def _run_codegen(self, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """One query through the macro-kernel dispatcher.
+    def _walk(self, feeds: dict[str, np.ndarray]) -> tuple[dict[str, np.ndarray], int]:
+        """One query over the partitioned segments in execution order.
 
-        Walks the partitioned segments in execution order — segments are
-        maximal contiguous runs covering every node, so this is the same
-        walk ``execute_quantized`` does, chunked.  Covered segments go
-        through the dispatcher; uncovered ones run per node, keeping the
-        whole graph bit-exact regardless of coverage.
+        Segments are maximal contiguous runs covering every node, so this
+        is the node order ``execute_quantized`` walks, chunked.  Segments
+        with a macro-kernel go through the dispatcher; the rest run per
+        node, keeping the whole graph bit-exact regardless of coverage.
+        Returns the outputs and how many macro-kernels ran.
         """
-        assert self._macro_kernels is not None
         graph = self.model.graph
-        values: dict[str, np.ndarray] = {}
-        for name, tensor in graph.tensors.items():
-            if tensor.is_constant:
-                values[name] = tensor.data
-        for name in graph.inputs:
-            if name not in feeds:
-                from repro.graph.gir import GraphError
-
-                raise GraphError(f"missing feed for graph input {name!r}")
-            values[name] = np.asarray(feeds[name])
+        values = _bind_values(graph, feeds)
+        kernels = self._macro_kernels
         check_oracle = self.policy.oracle != "off"
+        dispatched = 0
         for index, segment in enumerate(self.model.segments):
-            kernel = self._macro_kernels.get(index)
+            kernel = kernels.get(index) if kernels is not None else None
             if kernel is None:
-                for node in segment.nodes:
-                    ins = [values[name] for name in node.inputs]
-                    outs = _execute_quantized_node(graph, node, ins)
-                    for name, value in zip(node.outputs, outs, strict=False):
-                        values[name] = value
+                _run_nodes(graph, segment.nodes, values)
                 continue
             oracle = (
                 self._segment_oracle(segment, kernel) if check_oracle else None
             )
             self.dispatcher.dispatch(kernel, values, oracle)
-        return {name: values[name] for name in graph.outputs}
-
-    # ------------------------------------------------------------------
-    # The tier ladder
-    # ------------------------------------------------------------------
-
-    def _fastpath_enabled(self) -> bool:
-        if self.policy.fastpath is not None:
-            return self.policy.fastpath
-        from repro.ncore.fastpath import get_fastpath_default
-
-        return get_fastpath_default()
+            dispatched += 1
+        return {name: values[name] for name in graph.outputs}, dispatched
 
     def _run_quantized(
         self, feeds: dict[str, np.ndarray]
     ) -> tuple[dict[str, np.ndarray], str]:
-        """Run one query down the tier ladder; returns (outputs, tier).
+        """Run one query; returns (outputs, tier).
 
-        Precedence follows :class:`TierPolicy`: replay (Tier 2) short-
-        circuits everything, Tier-3 macro-kernels run when compiled
-        artifacts exist, and the trace-fused / interpreter walk is the
-        floor.  The tier label is what actually served the query.
+        A replay hit short-circuits the walk.  Otherwise the tier label
+        is what actually served the query: ``codegen`` only when at
+        least one macro-kernel ran, else ``reference``.
         """
-        policy = self.policy
         key: str | None = None
-        if policy.replay:
+        if self.policy.replay:
             key = self._replay_key(feeds)
             cached = self._replay_lookup(key)
             if cached is not None:
                 self.last_tier = TIER_REPLAY
                 return cached, TIER_REPLAY
-        if self._macro_kernels is not None:
-            outputs = self._run_codegen(feeds)
-            tier = TIER_CODEGEN
-        else:
-            outputs = execute_quantized(self.model.graph, feeds)
-            tier = TIER_FASTPATH if self._fastpath_enabled() else TIER_INTERPRETER
+        outputs, dispatched = self._walk(feeds)
+        tier = TIER_CODEGEN if dispatched else TIER_REFERENCE
         if key is not None:
             self._replay_store(key, outputs)
         self.last_tier = tier
@@ -439,9 +314,9 @@ class NcoreExecutor:
         """Feed the cycle-attribution collector, tier-labelled.
 
         ``tiers`` maps the tier that served each query to its count —
-        executed queries land on the tier that ran them (codegen,
-        fastpath or interpreter); replay hits are labelled ``replay`` so
-        a harvest shows the cycles *avoided*.
+        executed queries land on the tier that ran them (codegen or
+        reference); replay hits are labelled ``replay`` so a harvest
+        shows the cycles *avoided*.
         """
         attrib = get_attrib()
         if not attrib.enabled:

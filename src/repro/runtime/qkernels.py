@@ -241,6 +241,13 @@ def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, n
     back to the reference float semantics.  This is the functional model
     of what the CompiledModel computes across Ncore and x86 segments.
     """
+    values = _bind_values(graph, feeds)
+    _run_nodes(graph, graph.nodes, values)
+    return {name: values[name] for name in graph.outputs}
+
+
+def _bind_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The environment a graph walk starts from: constants plus feeds."""
     values: dict[str, np.ndarray] = {}
     for name, tensor in graph.tensors.items():
         if tensor.is_constant:
@@ -249,12 +256,16 @@ def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, n
         if name not in feeds:
             raise GraphError(f"missing feed for graph input {name!r}")
         values[name] = np.asarray(feeds[name])
-    for node in graph.nodes:
+    return values
+
+
+def _run_nodes(graph: Graph, nodes: list[Node], values: dict[str, np.ndarray]) -> None:
+    """Execute ``nodes`` in order against ``values``, writing outputs back."""
+    for node in nodes:
         ins = [values[name] for name in node.inputs]
         outs = _execute_quantized_node(graph, node, ins)
         for name, value in zip(node.outputs, outs, strict=False):
             values[name] = value
-    return {name: values[name] for name in graph.outputs}
 
 
 def _qp(graph: Graph, name: str) -> QuantParams:

@@ -124,10 +124,10 @@ class TestBitExactness:
         # artifact, which is how sessions discover the macro-kernels.
         model = compile_model(quantized_cnn(), name="codegen-bitexact")
         feeds = sample_feeds()
-        interp = InferenceSession(model, policy="interpreter")
+        reference = InferenceSession(model, policy="reference")
         tier3 = InferenceSession(model, policy="codegen")
         try:
-            want = interp.run(feeds).outputs
+            want = reference.run(feeds).outputs
             got = tier3.run(feeds).outputs
             again = tier3.run(feeds).outputs  # steady state (pinned winner)
             assert tier3.executor.last_tier == "codegen"
@@ -137,7 +137,7 @@ class TestBitExactness:
                 assert np.asarray(again[name]).tobytes() == w.tobytes()
                 assert np.asarray(got[name]).dtype == w.dtype
         finally:
-            interp.close()
+            reference.close()
             tier3.close()
 
 

@@ -11,7 +11,7 @@ import pytest
 from repro.models import PAPER_CHARACTERISTICS
 from repro.models.mobilenet import build_mobilenet_v1
 from repro.quantize import calibrate, quantize_graph
-from repro.runtime import NcoreExecutor, compile_model, execute_quantized
+from repro.runtime import NcoreExecutor, TierPolicy, compile_model, execute_quantized
 from repro.runtime.delegate import InferenceSession
 
 from tests.quantize.test_convert import calibration_batches, small_cnn
@@ -60,7 +60,9 @@ class TestReplayCache:
         executor.close()
 
     def test_lru_eviction_respects_capacity(self, compiled):
-        executor = NcoreExecutor(compiled, verify=False, replay_capacity=2)
+        executor = NcoreExecutor(
+            compiled, verify=False, policy=TierPolicy(replay_capacity=2)
+        )
         batches = calibration_batches(count=3, seed=30)
         for feeds in batches:
             executor.execute(feeds)
@@ -74,7 +76,9 @@ class TestReplayCache:
         executor.close()
 
     def test_opt_out_disables_caching(self, compiled):
-        executor = NcoreExecutor(compiled, verify=False, replay=False)
+        executor = NcoreExecutor(
+            compiled, verify=False, policy=TierPolicy(replay=False)
+        )
         feeds = calibration_batches(count=1, seed=2)[0]
         executor.execute(feeds)
         executor.execute(feeds)
@@ -100,8 +104,8 @@ class TestReplayOnZooModel:
         info = PAPER_CHARACTERISTICS["mobilenet_v1"]
         feeds = info.sample_input(graph, seed=7)
         model = compile_model(quantize_graph(graph, calibrate(graph, [feeds])))
-        with_replay = InferenceSession(model, replay=True)
-        without = InferenceSession(model, replay=False)
+        with_replay = InferenceSession(model)
+        without = InferenceSession(model, policy=TierPolicy(replay=False))
         try:
             warm = with_replay.run(feeds).outputs
             hit = with_replay.run(feeds).outputs

@@ -1,19 +1,18 @@
-"""TierPolicy: the unified tier ladder and its back-compat surface."""
+"""TierPolicy: the two executor paths (reference, codegen) plus replay."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-import repro.runtime.executor as executor_module
+from repro.ncore.codegen import MacroKernelSet
 from repro.runtime import (
     TIER_CHOICES,
     InferenceSession,
     NcoreExecutor,
     TierPolicy,
     compile_model,
-    get_default_tier_policy,
-    set_default_tier_policy,
+    execute_quantized,
 )
 from repro.quantize import calibrate, quantize_graph
 
@@ -35,19 +34,9 @@ class TestForTier:
     def test_auto_is_the_default_policy(self):
         assert TierPolicy.for_tier("auto") == TierPolicy()
 
-    def test_interpreter_disables_everything(self):
-        policy = TierPolicy.for_tier("interpreter")
+    def test_reference_disables_everything(self):
+        policy = TierPolicy.for_tier("reference")
         assert not policy.replay and not policy.codegen
-        assert policy.fastpath is False
-
-    def test_fastpath_forces_tier1(self):
-        policy = TierPolicy.for_tier("fastpath")
-        assert policy.fastpath is True
-        assert not policy.replay and not policy.codegen
-
-    def test_replay_disables_codegen(self):
-        policy = TierPolicy.for_tier("replay")
-        assert policy.replay and not policy.codegen
 
     def test_codegen_disables_replay(self):
         policy = TierPolicy.for_tier("codegen")
@@ -57,7 +46,13 @@ class TestForTier:
         with pytest.raises(ValueError, match="unknown tier"):
             TierPolicy.for_tier("jit")
 
+    @pytest.mark.parametrize("tier", ["fastpath", "interpreter", "replay", "predict"])
+    def test_retired_tiers_rejected(self, tier):
+        with pytest.raises(ValueError, match="unknown tier"):
+            TierPolicy.for_tier(tier)
+
     def test_every_choice_resolves(self):
+        assert TIER_CHOICES == ("auto", "reference", "codegen")
         for tier in TIER_CHOICES:
             assert isinstance(TierPolicy.for_tier(tier), TierPolicy)
 
@@ -66,9 +61,13 @@ class TestForTier:
 
         assert _TIER_CHOICES == TIER_CHOICES
 
-    def test_predict_tier_is_reserved(self):
-        with pytest.raises(NotImplementedError, match="predict"):
-            TierPolicy(predict=True)
+    def test_retired_fields_rejected(self):
+        assert set(TierPolicy.__dataclass_fields__) == {
+            "replay", "replay_capacity", "codegen", "oracle",
+        }
+        for name in ("predict", "fastpath", "sanitize"):
+            with pytest.raises(TypeError):
+                TierPolicy(**{name: True})
 
     def test_invalid_oracle_mode_rejected(self):
         with pytest.raises(ValueError, match="oracle"):
@@ -79,60 +78,61 @@ class TestForTier:
             TierPolicy(replay_capacity=0)
 
 
-class TestDefaultPolicy:
-    def test_set_returns_the_previous_policy(self):
-        original = get_default_tier_policy()
-        try:
-            previous = set_default_tier_policy(TierPolicy.for_tier("replay"))
-            assert previous == original
-            assert get_default_tier_policy() == TierPolicy.for_tier("replay")
-        finally:
-            set_default_tier_policy(original)
+class TestCliSurface:
+    @pytest.mark.parametrize("tier", ["fastpath", "interpreter", "replay"])
+    def test_run_rejects_retired_tiers(self, tier, capsys):
+        from repro.cli import build_parser
 
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "mobilenet_v1", "--tier", tier])
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_serve_has_no_tier_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "mobilenet_v1", "--tier", "auto"])
+        assert "--tier" in capsys.readouterr().err
+
+
+class TestDefaultPolicy:
     def test_sessions_pick_up_the_default(self):
-        model = quantized_model()
-        original = get_default_tier_policy()
-        set_default_tier_policy(TierPolicy.for_tier("interpreter"))
+        session = InferenceSession(quantized_model())
         try:
-            session = InferenceSession(model)
-            assert session.executor.policy.codegen is False
-            session.close()
+            assert session.executor.policy == TierPolicy()
         finally:
-            set_default_tier_policy(original)
+            session.close()
+
+    @pytest.mark.parametrize("policy", [True, 1, {"codegen": False}])
+    def test_non_policy_rejected(self, policy):
+        model = quantized_model()
+        with pytest.raises(TypeError, match="policy"):
+            NcoreExecutor(model, verify=False, policy=policy)
+        with pytest.raises(TypeError, match="policy"):
+            InferenceSession(model, policy=policy)
 
 
 class TestLegacyKwargs:
-    """Each pre-TierPolicy kwarg folds into the policy and warns once."""
+    """The pre-TierPolicy executor kwargs are gone, not shimmed."""
 
-    @pytest.fixture(autouse=True)
-    def reset_warn_once(self):
-        executor_module._legacy_warned.clear()
-        yield
-        executor_module._legacy_warned.clear()
-
-    def _warns_once(self, model, name, value):
-        with pytest.warns(DeprecationWarning, match=name):
-            ex = NcoreExecutor(model, verify=False, **{name: value})
-        assert getattr(ex.policy, name) == value
-        ex.close()
-        # Second use of the same spelling is silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ex = NcoreExecutor(model, verify=False, **{name: value})
-        assert getattr(ex.policy, name) == value
-        ex.close()
+    def _rejected(self, name, value):
+        model = quantized_model()
+        with pytest.raises(TypeError, match=name):
+            NcoreExecutor(model, verify=False, **{name: value})
 
     def test_replay_kwarg(self):
-        self._warns_once(quantized_model(), "replay", False)
+        self._rejected("replay", False)
+        with pytest.raises(TypeError, match="replay"):
+            InferenceSession(quantized_model(), replay=False)
 
     def test_replay_capacity_kwarg(self):
-        self._warns_once(quantized_model(), "replay_capacity", 7)
+        self._rejected("replay_capacity", 7)
 
     def test_fastpath_kwarg(self):
-        self._warns_once(quantized_model(), "fastpath", False)
+        self._rejected("fastpath", False)
 
     def test_sanitize_kwarg(self):
-        self._warns_once(quantized_model(), "sanitize", True)
+        self._rejected("sanitize", True)
 
     def test_policy_spelling_never_warns(self):
         model = quantized_model()
@@ -160,13 +160,17 @@ class TestTierSelection:
         finally:
             session.close()
 
-    def test_interpreter_tier_never_uses_codegen(self):
+    def test_reference_tier_never_uses_codegen(self):
         model = quantized_model()
-        session = InferenceSession(model, policy="interpreter")
+        session = InferenceSession(model, policy="reference")
         try:
-            session.run(sample_feeds())
-            assert session.executor.last_tier == "interpreter"
+            result = session.run(sample_feeds())
+            assert session.executor.last_tier == "reference"
             assert session.executor.macro_kernels is None
+            assert session.executor.dispatcher.stats.get("dispatches", 0) == 0
+            want = execute_quantized(model.graph, sample_feeds())
+            for name, value in want.items():
+                assert result.outputs[name].tobytes() == value.tobytes()
         finally:
             session.close()
 
@@ -179,11 +183,24 @@ class TestTierSelection:
         finally:
             session.close()
 
+    def test_empty_macro_kernel_set_stamps_reference(self):
+        model = quantized_model()
+        executor = NcoreExecutor(
+            model, verify=False, policy="codegen",
+            macro_kernels=MacroKernelSet(model_name=model.name),
+        )
+        try:
+            executor.execute(sample_feeds())
+            assert executor.macro_kernels is not None
+            assert executor.last_tier == "reference"
+        finally:
+            executor.close()
+
     def test_string_policy_equals_explicit_policy(self):
         model = quantized_model()
-        a = NcoreExecutor(model, verify=False, policy="replay")
+        a = NcoreExecutor(model, verify=False, policy="reference")
         b = NcoreExecutor(
-            model, verify=False, policy=TierPolicy.for_tier("replay")
+            model, verify=False, policy=TierPolicy.for_tier("reference")
         )
         assert a.policy == b.policy
         a.close()

@@ -156,6 +156,19 @@ class TestCompileAndRun:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize("tier", ["reference", "codegen"])
+    def test_run_stamps_the_requested_tier(self, saved_graph, tier, capsys):
+        assert main(["run", saved_graph, "--tier", tier]) == 0
+        assert f"tier {tier})" in capsys.readouterr().out
+
+    def test_run_codegen_without_macro_kernels_fails(self, saved_graph, capsys):
+        # An O0 compile emits no macro-kernels, so the query is served by
+        # the reference walk: asking for codegen must not pass silently.
+        assert main(["run", saved_graph, "--tier", "codegen", "--no-optimize"]) == 1
+        captured = capsys.readouterr()
+        assert "tier reference)" in captured.out
+        assert "no macro-kernel ran" in captured.err
+
 
 class TestTrace:
     def test_writes_valid_chrome_trace(self, tmp_path, capsys):

@@ -1,9 +1,12 @@
-"""No source module references the removed pre-rename spellings.
+"""No source module references removed spellings.
 
-PR 3 renamed the machine-level ``RunResult`` to ``MachineRunResult`` and
-left a warn-once module alias behind; the alias is now gone.  This test
-greps the source tree so a stray reference (or a reintroduced alias)
-fails loudly rather than resurrecting the old name.
+The machine-level ``RunResult`` was renamed ``MachineRunResult`` and its
+warn-once module alias is gone; the runtime tier ladder collapsed to the
+``reference`` and ``codegen`` paths, dropping the fastpath/interpreter
+labels, the process-wide default policy, the legacy executor kwargs and
+the reserved ``predict`` tier.  These tests grep the source tree so a
+stray reference (or a reintroduced shim) fails loudly rather than
+resurrecting the old name.
 """
 
 import re
@@ -52,3 +55,36 @@ def test_machine_module_has_no_alias_attribute():
 
     assert not hasattr(machine_module, "RunResult")
     assert hasattr(machine_module, "MachineRunResult")
+
+
+#: Names deleted when the executor tier ladder collapsed to two paths.
+_RETIRED_TIER_NAMES = (
+    "TIER_FASTPATH",
+    "TIER_INTERPRETER",
+    "_warn_legacy_kwarg",
+    "_legacy_warned",
+    "set_default_tier_policy",
+    "get_default_tier_policy",
+)
+
+
+def test_no_retired_tier_names():
+    pattern = re.compile(r"\b(" + "|".join(_RETIRED_TIER_NAMES) + r")\b")
+    offenders = [
+        f"{path}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not offenders, (
+        "retired tier-ladder name resurfaced:\n" + "\n".join(offenders)
+    )
+
+
+def test_no_predict_tier_in_runtime():
+    offenders = [
+        str(path)
+        for path in sorted((SRC / "runtime").rglob("*.py"))
+        if "predict" in path.read_text()
+    ]
+    assert not offenders, f"'predict' resurfaced in the runtime: {offenders}"
