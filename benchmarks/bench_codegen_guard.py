@@ -1,14 +1,14 @@
 """Regression guard: codegen must stay well ahead of the per-node
 reference walk on end-to-end zoo inference.
 
-MobileNet (the cheapest zoo CNN) measures ~4-5x steady state on an idle
-machine; GNMT's bf16 float region ~5-7x (the seqfuse variant computes
-each encoder layer's sequence projection once instead of once per step).
-Both are guarded at a conservative 3x so CI noise never flakes them,
-while any change that quietly drops macro-kernel coverage (an op falling
-out of the codegen vocabulary, the sidecar artifact missing from the
-cache) still fails loudly.  The digest check keeps the guard honest: the
-speed-up only counts if the bytes match the reference walk.
+MobileNet (the cheapest zoo CNN) measures ~4-6x steady state on an idle
+machine, guarded at a conservative 3x so CI noise never flakes it, while
+any change that quietly drops macro-kernel coverage (an op falling out
+of the codegen vocabulary, the sidecar artifact missing from the cache)
+still fails loudly.  The digest check keeps the guard honest: the
+speed-up only counts if the bytes match the reference walk.  Codegen
+lowers only the quantized region, so bf16 GNMT has no macro-kernels to
+guard: its float region runs on the reference walk under every tier.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.perf.simbench import compile_zoo_model, measure_zoo_end_to_end
 from repro.runtime import InferenceSession
 
 GUARD_SPEEDUP = 3.0
-MODELS = ("mobilenet_v1", "gnmt")
+MODELS = ("mobilenet_v1",)
 
 
 @pytest.mark.parametrize("model_key", MODELS)
@@ -31,10 +31,6 @@ def test_codegen_bit_exact_with_reference(model_key):
         got = tier3.run(feeds).outputs
         assert reference.executor.last_tier == "reference"
         assert tier3.executor.last_tier == "codegen"
-        if model_key == "gnmt":
-            kset = tier3.executor.macro_kernels
-            assert kset is not None
-            assert kset.coverage_fraction(len(model.segments)) > 0.8
         for name in want:
             assert np.asarray(got[name]).tobytes() == \
                 np.asarray(want[name]).tobytes()
@@ -49,8 +45,6 @@ def test_codegen_speedup_guard(model_key):
     reference = measure_zoo_end_to_end(
         model_key, queries=3, tier="reference", warmup=1
     )
-    if model_key == "gnmt":
-        assert tier3.get("coverage", 0.0) > 0.8
     speedup = reference["seconds"] / tier3["seconds"]
     assert speedup >= GUARD_SPEEDUP, (
         f"codegen only {speedup:.1f}x over the reference walk on "

@@ -500,9 +500,14 @@ def _cmd_run(args) -> int:
           f"(Ncore {timing.ncore_fraction:.0%}, tier {tier})")
     exit_code = 0
     if args.tier == "codegen" and tier != "codegen":
+        kset = session.executor.macro_kernels
+        why = (
+            "; ".join(sorted(kset.uncovered_reason_counts()))
+            if kset is not None and kset.uncovered
+            else "no codegen artifact exists for this compile"
+        )
         print(f"tier codegen requested but no macro-kernel ran; the query "
-              f"was served by the {tier} walk (macro-kernels are emitted "
-              "only by an O2 compile)", file=sys.stderr)
+              f"was served by the {tier} walk ({why})", file=sys.stderr)
         exit_code = 1
     if args.sanitize:
         exit_code = max(

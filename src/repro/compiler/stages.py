@@ -221,8 +221,8 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
 
     Produces the :class:`repro.ncore.codegen.MacroKernelSet` sidecar the
     driver stores in the compile cache next to the model.  Segments with
-    no macro-kernel form (float regions, x86-only ops) are recorded with
-    a reason and keep the per-node interpreter at runtime — coverage is
+    no macro-kernel form (the float region, x86-only ops) are recorded
+    with a reason and run on the reference walk — coverage is
     best-effort, bit-exactness is not.
     """
     if not ctx.segments:
@@ -238,31 +238,8 @@ def _run_codegen(ctx: CompilerContext) -> dict[str, Any]:
     ctx.macro_kernels = kset
     stats.setdefault("kernels", 0)
     stats.setdefault("uncovered_segments", 0)
-    # Float-region coverage: how much of the graph's float family (bf16
-    # LSTM region, x86 float tails) the Tier-3 artifacts actually cover.
     stats["coverage"] = round(kset.coverage_fraction(len(ctx.segments)), 4)
-    float_steps = sum(
-        sum(1 for step in variant.steps if _is_float_step(step))
-        for kernel in kset.kernels.values()
-        for variant in kernel.variants
-    )
-    if float_steps:
-        stats["float_steps"] = float_steps
-    seqfuse = sum(
-        1
-        for kernel in kset.kernels.values()
-        for variant in kernel.variants
-        if variant.strategy == "seqfuse"
-    )
-    if seqfuse:
-        stats["seqfuse_variants"] = seqfuse
     return stats
-
-
-def _is_float_step(step: Any) -> bool:
-    from repro.ncore.codegen import CellFuseStep, FloatStep, SeqFuseStep
-
-    return isinstance(step, (FloatStep, SeqFuseStep, CellFuseStep))
 
 
 def _run_finalize(ctx: CompilerContext) -> dict[str, Any]:

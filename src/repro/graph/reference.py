@@ -13,6 +13,8 @@ Activations are NHWC; convolution weights HWIO; depthwise weights HWC.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from repro.dtypes import quantize as quantize_array
@@ -208,11 +210,8 @@ def lstm_step_project(x_seq: np.ndarray, wx: np.ndarray) -> np.ndarray:
     """Whole-sequence input projection for ``lstm_step``: every step's gate
     contribution from the (shared) input sequence, ``x_seq @ wx``.
 
-    Part of the op's *reference semantics*: each ``lstm_step`` node projects
-    the full sequence and uses only its own row.  A fused kernel (the
-    ``seqfuse`` codegen variant) may compute this once per chain and slice —
-    the arrays and the matmul call are identical, so the result is
-    bit-identical to the per-node reference.
+    A graph walk (:func:`run_nodes`) calls this once per ``(x_seq, wx)``
+    tensor pair and hands row ``t`` to each ``lstm_step`` of the chain.
     """
     width = x_seq.shape[-1]
     flat = np.asarray(x_seq).reshape(-1, width) @ wx
@@ -247,9 +246,11 @@ def lstm_step(
     ``concat([x, h])``), the input and recurrent weights are split: ``wx``
     is ``(in, 4 * hidden)`` applied to the whole input sequence ``x_seq``
     (``(time, in)`` or ``(batch, time, in)``), ``wh`` is
-    ``(hidden, 4 * hidden)`` applied to ``h_prev``.  The reference projects
-    the entire sequence on every step — the honest unfused formulation, like
-    recomputing attention scores per query — and uses row ``t``.
+    ``(hidden, 4 * hidden)`` applied to ``h_prev``.  This per-node
+    definition projects the entire sequence and uses row ``t``; a graph
+    walk shares one projection across the chain (:func:`execute_node`'s
+    ``projections`` memo), which is the same call on the same arrays and
+    therefore bit-identical.
     """
     xp = lstm_step_project(x_seq, wx)
     return lstm_step_combine(xp[..., t, :], wh, bias, h_prev, c_prev)
@@ -325,8 +326,14 @@ def _optional_input(graph: Graph, node: Node, index: int) -> np.ndarray | None:
     return None
 
 
-def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Execute a graph in float32, returning its output tensors."""
+#: The LSTM projection memo of one walk: ``(x_seq, wx)`` tensor names ->
+#: ``lstm_step_project`` of those tensors.
+Projections = dict[tuple[str, str], np.ndarray]
+NodeKernel = Callable[[Graph, Node, list[np.ndarray], Projections], list[np.ndarray]]
+
+
+def bind_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The environment a graph walk starts from: constants plus feeds."""
     values: dict[str, np.ndarray] = {}
     for name, tensor in graph.tensors.items():
         if tensor.is_constant:
@@ -335,16 +342,54 @@ def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.nd
         if name not in feeds:
             raise GraphError(f"missing feed for graph input {name!r}")
         values[name] = np.asarray(feeds[name])
-    for node in graph.nodes:
-        ins = [values[name] for name in node.inputs]
-        outs = execute_node(graph, node, ins)
+    return values
+
+
+def run_nodes(
+    graph: Graph,
+    nodes: list[Node],
+    values: dict[str, np.ndarray],
+    kernel: NodeKernel | None = None,
+    projections: Projections | None = None,
+    observe: Callable[[str, np.ndarray], None] | None = None,
+) -> None:
+    """The graph walk: execute ``nodes`` in order against ``values``.
+
+    ``kernel`` evaluates one node (default :func:`execute_node`);
+    ``observe`` sees every output as it is written.  ``projections`` is
+    the walk's LSTM projection memo — a fresh one unless the caller walks
+    one query in several chunks and passes the same dict to each.  It is
+    keyed on tensor names, so it must never outlive the walk.
+    """
+    kernel = kernel or execute_node
+    projections = {} if projections is None else projections
+    for node in nodes:
+        outs = kernel(graph, node, [values[name] for name in node.inputs], projections)
         for name, value in zip(node.outputs, outs, strict=False):
             values[name] = value
+            if observe is not None:
+                observe(name, value)
+
+
+def execute_float(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Execute a graph in float32, returning its output tensors."""
+    values = bind_values(graph, feeds)
+    run_nodes(graph, graph.nodes, values)
     return {name: values[name] for name in graph.outputs}
 
 
-def execute_node(graph: Graph, node: Node, ins: list[np.ndarray]) -> list[np.ndarray]:
-    """Execute a single node given its input arrays (reference semantics)."""
+def execute_node(
+    graph: Graph,
+    node: Node,
+    ins: list[np.ndarray],
+    projections: Projections | None = None,
+) -> list[np.ndarray]:
+    """Execute a single node given its input arrays (reference semantics).
+
+    ``projections`` is a walk's LSTM projection memo (see
+    :func:`run_nodes`); without one, ``lstm_step`` projects its sequence
+    itself.
+    """
     op = node.op
     attrs = node.attrs
     act = attrs.get("activation", "none")
@@ -426,10 +471,15 @@ def execute_node(graph: Graph, node: Node, ins: list[np.ndarray]) -> list[np.nda
         h, c = lstm_cell(ins[0], ins[1], ins[2], ins[3], ins[4])
         return [h, c]
     if op == "lstm_step":
-        h, c = lstm_step(
-            ins[0], ins[1], ins[2], ins[3], ins[4], ins[5], int(attrs["t"])
+        t = int(attrs["t"])
+        if projections is None:
+            return list(lstm_step(ins[0], ins[1], ins[2], ins[3], ins[4], ins[5], t))
+        key = (node.inputs[0], node.inputs[1])
+        if key not in projections:
+            projections[key] = lstm_step_project(ins[0], ins[1])
+        return list(
+            lstm_step_combine(projections[key][..., t, :], ins[2], ins[3], ins[4], ins[5])
         )
-        return [h, c]
     if op == "attention":
         return [attention(ins[0], ins[1])]
     if op == "nms":

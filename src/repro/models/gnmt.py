@@ -145,8 +145,8 @@ def build_gnmt(
 
     # ---- encoder: `layers` stacked LSTMs over the source sequence ----
     # Each layer runs `lstm_step` over the whole (batch, time, hidden) input
-    # sequence: the input-side gate projection is shared per layer, which is
-    # what the seqfuse codegen variant amortizes across the timestep chain.
+    # sequence: the input-side gate projection is shared per layer, so a
+    # graph walk computes it once per layer and slices one row per step.
     enc_weights = [lstm_seq_weights(f"enc{l}", hidden) for l in range(layers)]
     x_seq = src_embedded
     for l in range(layers):

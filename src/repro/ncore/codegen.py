@@ -26,30 +26,26 @@ make that fast without breaking it:
   once per (segment, input shapes), cross-checks their outputs
   byte-for-byte, and pins the winner; losers never run again.
 
-The per-node interpreter stays on as the oracle: the executor verifies a
-macro-kernel's outputs against it on first dispatch (``oracle="first"``,
-the default policy), or on every dispatch (``oracle="always"``).
+The per-node reference walk stays on as the oracle: the executor
+verifies a macro-kernel's outputs against it on first dispatch
+(``oracle="first"``, the default policy), or on every dispatch
+(``oracle="always"``).
 
-The same contract extends to the **bf16 float region** (GNMT's LSTM /
-attention graph and the x86-resident float tails): float-region nodes
-lower to :class:`FloatStep` programs that call the reference kernels
-themselves and then apply the interpreter's bf16 write-back rounding
-(:func:`repro.runtime.qkernels.round_float_outputs`), so float
-macro-kernels are byte-identical to the per-node walk too.  LSTM-bearing
-segments additionally grow a ``seqfuse`` variant: chains of ``lstm_step``
-(or same-weight ``lstm_cell``) nodes threading h/c state collapse into
-:class:`SeqFuseStep` / :class:`CellFuseStep`, which compute each chain's
-whole-sequence input projection once instead of once per timestep —
-identical reference calls over identical arrays, so still bit-exact.
-Float steps bake no weights; they read constants from the
-executor-seeded environment, keeping the pickled artifact small.
+Only the quantized region is lowered.  A segment that touches the float
+region (GNMT's bf16 LSTM/attention graph, the x86-resident float tails,
+NMS) raises :class:`UnsupportedSegment` with :data:`FLOAT_REGION_REASON`
+and runs on the reference walk, which calls the very kernels a float
+macro-kernel would and computes each LSTM chain's sequence projection
+once per walk — so a float lowering would duplicate that path without
+making it faster.  The one exception is a float32 ``dequantize`` at the
+int8 boundary, which lowers to :class:`DequantizeStep`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 import numpy.typing as npt
@@ -64,7 +60,6 @@ from repro.dtypes import (
     quantize_multiplier,
     requantize,
     saturate,
-    to_bfloat16,
 )
 from repro.graph.gir import Graph, Node
 from repro.graph.loadable import NcoreLoadable
@@ -86,7 +81,9 @@ _ACC_LO, _ACC_HI = -(2**31), 2**31 - 1
 #: Variant strategy names (the lowering families emitted today).
 STRATEGY_NEST = "nest"        # whole-loop-nest einsum/tensordot form
 STRATEGY_ROWSWEEP = "rowsweep"  # fused per-tap row-sweep accumulation
-STRATEGY_SEQFUSE = "seqfuse"  # fused LSTM timestep chains (float region)
+
+#: Why a segment touching the float region has no macro-kernel.
+FLOAT_REGION_REASON = "float region runs on the reference walk"
 
 
 def note_stat(stats: dict[str, int], key: str, amount: int = 1) -> None:
@@ -416,224 +413,6 @@ class IdentityStep(KernelStep):
 
 
 # ----------------------------------------------------------------------
-# Float-region steps (the bf16 lowering family, GNMT + x86 float tails)
-# ----------------------------------------------------------------------
-
-#: Placeholder graph for reference-eval steps.  ``execute_node`` only
-#: consults the graph for quantize/dequantize (which never take this
-#: path), so float-region nodes evaluate without the real graph — which
-#: keeps the pickled artifacts small: float steps bake no weights, they
-#: read constants from the environment the executor seeds.
-_FLOAT_EVAL_GRAPH = Graph("codegen-float-eval")
-
-
-def _round_bf16(value: Array, flag: bool) -> Array:
-    """The float-region write-back rounding, per output.
-
-    ``flag`` is precomputed at codegen time from the output tensor's
-    dtype — exactly the per-name test
-    :func:`repro.runtime.qkernels.round_float_outputs` applies, so a float
-    step's stored value is byte-identical to the interpreter's.
-    """
-    if not flag:
-        return value
-    return np.asarray(to_bfloat16(np.asarray(value, dtype=np.float32)))
-
-
-@dataclass(frozen=True)
-class FloatStep(KernelStep):
-    """Base for float-region steps.
-
-    ``outs`` lists every node output (``output`` is the first — LSTM
-    steps have two); ``rounds`` records, per output, whether the
-    interpreter rounds it to bf16 on write-back."""
-
-    outs: tuple[str, ...] = ()
-    rounds: tuple[bool, ...] = ()
-
-    def _store(self, env: Env, values: Sequence[Array]) -> None:
-        for name, value, flag in zip(self.outs, values, self.rounds, strict=True):
-            env[name] = _round_bf16(np.asarray(value), flag)
-
-
-@dataclass(frozen=True)
-class FloatEvalStep(FloatStep):
-    """Fallback float step: the node's reference semantics verbatim (the
-    same code path the interpreter's float region runs), plus rounding.
-    Covers the x86-resident tails — batch_norm, softmax, mean, attention,
-    elementwise — without a per-op lowering."""
-
-    gnode: Node | None = None
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import execute_node
-
-        assert self.gnode is not None
-        outs = execute_node(
-            _FLOAT_EVAL_GRAPH, self.gnode, [env[name] for name in self.inputs]
-        )
-        self._store(env, outs)
-
-
-@dataclass(frozen=True)
-class FloatMatmulStep(FloatStep):
-    """Float fully_connected / matmul with optional bias and fused
-    activation, via the reference kernel (bit-identical by shared code)."""
-
-    activation: str = "none"
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import fully_connected
-
-        bias = env[self.inputs[2]] if len(self.inputs) > 2 else None
-        out = fully_connected(
-            env[self.inputs[0]], env[self.inputs[1]], bias, self.activation
-        )
-        self._store(env, (out,))
-
-
-@dataclass(frozen=True)
-class EmbeddingStep(FloatStep):
-    """Embedding gather: one fancy-index into the (env-resident) table."""
-
-    def run(self, env: Env) -> None:
-        table, ids = env[self.inputs[0]], env[self.inputs[1]]
-        self._store(env, (table[ids.astype(np.int64)],))
-
-
-@dataclass(frozen=True)
-class FloatSliceStep(FloatStep):
-    """Timestep slice with attributes resolved at codegen time."""
-
-    axis: int = 0
-    begin: int = 0
-    size: int = 1
-    squeeze: bool = False
-
-    def run(self, env: Env) -> None:
-        x = env[self.inputs[0]]
-        index: list[slice] = [slice(None)] * x.ndim
-        index[self.axis] = slice(self.begin, self.begin + self.size)
-        out = x[tuple(index)]
-        if self.squeeze:
-            out = np.squeeze(out, axis=self.axis)
-        self._store(env, (out,))
-
-
-@dataclass(frozen=True)
-class FloatConcatStep(FloatStep):
-    axis: int = -1
-
-    def run(self, env: Env) -> None:
-        parts = [env[name] for name in self.inputs]
-        self._store(env, (np.concatenate(parts, axis=self.axis),))
-
-
-@dataclass(frozen=True)
-class FloatReshapeStep(FloatStep):
-    shape: tuple[int, ...] = ()
-
-    def run(self, env: Env) -> None:
-        self._store(env, (env[self.inputs[0]].reshape(self.shape),))
-
-
-@dataclass(frozen=True)
-class LstmCellStep(FloatStep):
-    """One lstm_cell: fused gate matmul + sigmoid/tanh over the whole
-    batch, via the reference kernel."""
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_cell
-
-        h, c = lstm_cell(
-            env[self.inputs[0]], env[self.inputs[1]], env[self.inputs[2]],
-            env[self.inputs[3]], env[self.inputs[4]],
-        )
-        self._store(env, (h, c))
-
-
-@dataclass(frozen=True)
-class LstmSeqStep(FloatStep):
-    """One lstm_step node: whole-sequence input projection + recurrent
-    combine.  The seqfuse variant replaces chains of these with a single
-    :class:`SeqFuseStep` that amortizes the projection."""
-
-    t: int = 0
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_step
-
-        h, c = lstm_step(
-            env[self.inputs[0]], env[self.inputs[1]], env[self.inputs[2]],
-            env[self.inputs[3]], env[self.inputs[4]], env[self.inputs[5]],
-            self.t,
-        )
-        self._store(env, (h, c))
-
-
-@dataclass(frozen=True)
-class SeqFuseStep(KernelStep):
-    """A fused chain of ``lstm_step`` nodes sharing (x_seq, wx, wh, bias).
-
-    Computes the whole-sequence input projection **once** — the very same
-    :func:`repro.graph.reference.lstm_step_project` call on the very same
-    arrays each per-node reference makes — then threads the rounded h/c
-    state through the per-step recurrent combines.  Because the projection
-    and combine are the reference's own functions over identical operands,
-    the chain's outputs are bit-identical to running it node by node; the
-    fused form just stops re-projecting the sequence ``len(chain)`` times
-    and dispatching ``len(chain)`` steps.
-    """
-
-    x_seq: str = ""
-    wx: str = ""
-    wh: str = ""
-    bias: str = ""
-    h_in: str = ""
-    c_in: str = ""
-    #: (t, h_out, c_out, round_h, round_c) per fused node, in chain order.
-    chain: tuple[tuple[int, str, str, bool, bool], ...] = ()
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_step_combine, lstm_step_project
-
-        xp = lstm_step_project(env[self.x_seq], env[self.wx])
-        wh, bias = env[self.wh], env[self.bias]
-        h, c = env[self.h_in], env[self.c_in]
-        for t, h_out, c_out, round_h, round_c in self.chain:
-            h, c = lstm_step_combine(xp[..., t, :], wh, bias, h, c)
-            h = _round_bf16(h, round_h)
-            c = _round_bf16(c, round_c)
-            env[h_out] = h
-            env[c_out] = c
-
-
-@dataclass(frozen=True)
-class CellFuseStep(KernelStep):
-    """A fused chain of same-weight ``lstm_cell`` nodes threading h/c
-    state: one step object per chain instead of one per timestep."""
-
-    weights: str = ""
-    bias: str = ""
-    h_in: str = ""
-    c_in: str = ""
-    #: (x_in, h_out, c_out, round_h, round_c) per fused node.
-    chain: tuple[tuple[str, str, str, bool, bool], ...] = ()
-
-    def run(self, env: Env) -> None:
-        from repro.graph.reference import lstm_cell
-
-        weights, bias = env[self.weights], env[self.bias]
-        h, c = env[self.h_in], env[self.c_in]
-        for x_in, h_out, c_out, round_h, round_c in self.chain:
-            h, c = lstm_cell(env[x_in], weights, bias, h, c)
-            h = _round_bf16(h, round_h)
-            c = _round_bf16(c, round_c)
-            env[h_out] = h
-            env[c_out] = c
-
-
-# ----------------------------------------------------------------------
 # The picklable artifacts
 # ----------------------------------------------------------------------
 
@@ -780,64 +559,6 @@ def _pad_attr(node: Node) -> tuple[tuple[int, int], tuple[int, int]]:
     return ((int(pt), int(pb)), (int(pl), int(pr)))
 
 
-#: Float-region ops with a reference-eval (FloatEvalStep) lowering: the
-#: x86-resident float tails and the attention composite.  NMS stays
-#: uncovered — its sort-driven control flow is the one op the paper kept
-#: on x86 outright, and the interpreter fallback covers it bit-exactly.
-_FLOAT_EVAL_OPS = frozenset(
-    {
-        "batch_norm", "softmax", "mean", "add", "mul", "relu", "relu6",
-        "tanh", "sigmoid", "attention", "identity", "pad", "bias_add",
-    }
-)
-
-
-def _float_rounds(graph: Graph, node: Node) -> tuple[bool, ...]:
-    """Which outputs the interpreter rounds to bf16 on write-back."""
-    return tuple(
-        graph.tensor(name).type.dtype is NcoreDType.BF16 for name in node.outputs
-    )
-
-
-def _lower_float_node(graph: Graph, node: Node) -> tuple[KernelStep, ...]:
-    """Steps for a float-region node (output quant is ``None``).
-
-    Specialized macro-steps cover the hot GNMT ops (LSTM steps/cells,
-    embedding gather, slice/concat/reshape, float fc); the reference-eval
-    fallback covers the float tails.  Every step applies the
-    ``round_float_outputs`` bf16 write-back rounding, so the program is
-    byte-identical to the interpreter walk."""
-    attrs = node.attrs
-    base = dict(
-        node=node.name, op=node.op, inputs=tuple(node.inputs),
-        output=node.outputs[0], outs=tuple(node.outputs),
-        rounds=_float_rounds(graph, node),
-    )
-    if node.op == "lstm_step":
-        return (LstmSeqStep(t=int(attrs["t"]), **base),)  # type: ignore[arg-type]
-    if node.op == "lstm_cell":
-        return (LstmCellStep(**base),)  # type: ignore[arg-type]
-    if node.op == "embedding":
-        return (EmbeddingStep(**base),)  # type: ignore[arg-type]
-    if node.op == "fully_connected":
-        return (FloatMatmulStep(
-            activation=attrs.get("activation") or "none", **base,  # type: ignore[arg-type]
-        ),)
-    if node.op == "slice":
-        return (FloatSliceStep(
-            axis=int(attrs["axis"]), begin=int(attrs["begin"]),
-            size=int(attrs["size"]),
-            squeeze=bool(attrs.get("squeeze", False)), **base,  # type: ignore[arg-type]
-        ),)
-    if node.op == "concat":
-        return (FloatConcatStep(axis=int(attrs.get("axis", -1)), **base),)  # type: ignore[arg-type]
-    if node.op == "reshape":
-        return (FloatReshapeStep(shape=tuple(attrs["shape"]), **base),)  # type: ignore[arg-type]
-    if node.op in _FLOAT_EVAL_OPS:
-        return (FloatEvalStep(gnode=node, **base),)  # type: ignore[arg-type]
-    raise UnsupportedSegment(f"float op {node.op!r} has no macro-kernel form")
-
-
 def _lower_node(graph: Graph, node: Node) -> tuple[KernelStep, ...] | None:
     """The shared (strategy-independent) step for one node, or ``None``
     when the node is a matmul op with per-strategy forms."""
@@ -849,7 +570,7 @@ def _lower_node(graph: Graph, node: Node) -> tuple[KernelStep, ...] | None:
                 in_qp=_qp(graph, node.inputs[0]), node=node.name, op=node.op,
                 inputs=tuple(node.inputs), output=out_name,
             ),)
-        return _lower_float_node(graph, node)
+        raise UnsupportedSegment(FLOAT_REGION_REASON)
     if len(node.outputs) != 1:
         raise UnsupportedSegment(f"node {node.name!r} has multiple outputs")
     base = dict(node=node.name, op=node.op, inputs=tuple(node.inputs), output=out_name)
@@ -892,93 +613,6 @@ def _lower_node(graph: Graph, node: Node) -> tuple[KernelStep, ...] | None:
     raise UnsupportedSegment(f"op {node.op!r} has no macro-kernel form")
 
 
-def _seq_chains(prev: LstmSeqStep, step: LstmSeqStep) -> bool:
-    """Whether ``step`` continues a seqfuse chain: same (x_seq, wx, wh,
-    bias) and its h/c inputs are the previous step's outputs."""
-    return (
-        prev.inputs[:4] == step.inputs[:4]
-        and step.inputs[4] == prev.outs[0]
-        and step.inputs[5] == prev.outs[1]
-    )
-
-
-def _cell_chains(prev: LstmCellStep, step: LstmCellStep) -> bool:
-    """Whether ``step`` continues a cell chain: same (weights, bias) and
-    threaded h/c state."""
-    return (
-        prev.inputs[1:3] == step.inputs[1:3]
-        and step.inputs[3] == prev.outs[0]
-        and step.inputs[4] == prev.outs[1]
-    )
-
-
-def _fuse_seq_run(run: list[LstmSeqStep]) -> SeqFuseStep:
-    first, last = run[0], run[-1]
-    return SeqFuseStep(
-        node=f"{first.node}..{last.node}", op="lstm_step",
-        inputs=first.inputs, output=last.outs[0],
-        x_seq=first.inputs[0], wx=first.inputs[1], wh=first.inputs[2],
-        bias=first.inputs[3], h_in=first.inputs[4], c_in=first.inputs[5],
-        chain=tuple(
-            (s.t, s.outs[0], s.outs[1], s.rounds[0], s.rounds[1]) for s in run
-        ),
-    )
-
-
-def _fuse_cell_run(run: list[LstmCellStep]) -> CellFuseStep:
-    first, last = run[0], run[-1]
-    return CellFuseStep(
-        node=f"{first.node}..{last.node}", op="lstm_cell",
-        inputs=first.inputs, output=last.outs[0],
-        weights=first.inputs[1], bias=first.inputs[2],
-        h_in=first.inputs[3], c_in=first.inputs[4],
-        chain=tuple(
-            (s.inputs[0], s.outs[0], s.outs[1], s.rounds[0], s.rounds[1])
-            for s in run
-        ),
-    )
-
-
-def _fuse_lstm_chains(steps: list[KernelStep]) -> list[KernelStep] | None:
-    """The seqfuse transform: collapse maximal consecutive runs of
-    same-weight LSTM steps with threaded h/c state into single fused
-    steps.  Returns ``None`` when no chain of length >= 2 exists (no
-    seqfuse variant is emitted then)."""
-    fused: list[KernelStep] = []
-    changed = False
-    i = 0
-    while i < len(steps):
-        step = steps[i]
-        run: list[Any] = [step]
-        if isinstance(step, LstmSeqStep):
-            while (
-                i + len(run) < len(steps)
-                and isinstance(steps[i + len(run)], LstmSeqStep)
-                and _seq_chains(run[-1], steps[i + len(run)])  # type: ignore[arg-type]
-            ):
-                run.append(steps[i + len(run)])
-            if len(run) >= 2:
-                fused.append(_fuse_seq_run(run))
-                changed = True
-                i += len(run)
-                continue
-        elif isinstance(step, LstmCellStep):
-            while (
-                i + len(run) < len(steps)
-                and isinstance(steps[i + len(run)], LstmCellStep)
-                and _cell_chains(run[-1], steps[i + len(run)])  # type: ignore[arg-type]
-            ):
-                run.append(steps[i + len(run)])
-            if len(run) >= 2:
-                fused.append(_fuse_cell_run(run))
-                changed = True
-                i += len(run)
-                continue
-        fused.append(step)
-        i += 1
-    return fused if changed else None
-
-
 def compile_segment(
     graph: Graph,
     segment: Segment,
@@ -1010,9 +644,6 @@ def compile_segment(
     variants = [KernelVariant(STRATEGY_NEST, tuple(nest_steps))]
     if multi_variant:
         variants.append(KernelVariant(STRATEGY_ROWSWEEP, tuple(sweep_steps)))
-    seqfuse_steps = _fuse_lstm_chains(nest_steps)
-    if seqfuse_steps is not None:
-        variants.append(KernelVariant(STRATEGY_SEQFUSE, tuple(seqfuse_steps)))
     return MacroKernel(
         name=name,
         segment_index=index,
@@ -1177,22 +808,16 @@ class MultiKernelDispatcher:
 
 __all__ = [
     "CODEGEN_ARTIFACT_KIND",
-    "CellFuseStep",
+    "FLOAT_REGION_REASON",
     "CodegenDivergence",
-    "FloatEvalStep",
-    "FloatStep",
     "KernelStep",
     "KernelVariant",
-    "LstmCellStep",
-    "LstmSeqStep",
     "MacroKernel",
     "MacroKernelSet",
     "MultiKernelDispatcher",
     "RequantSpec",
     "STRATEGY_NEST",
     "STRATEGY_ROWSWEEP",
-    "STRATEGY_SEQFUSE",
-    "SeqFuseStep",
     "UnsupportedSegment",
     "codegen_model",
     "compile_segment",

@@ -102,15 +102,12 @@ def compile_zoo_model(model_key: str = "mobilenet_v1"):
     if model_key == "gnmt":
         # Reduced GNMT build (same precedent as the reduced-resolution
         # MobileNet below): full 1024-wide 8-layer GNMT holds 131 M bf16
-        # weights, far too slow to walk per-node in CI.  This keeps the
-        # real topology — unrolled lstm_step encoder, attention decoder,
-        # embeddings and the softmax/mean float tails — at a scale where
-        # the encoder's redundant per-step sequence projection (what the
-        # codegen seqfuse variant eliminates) dominates the reference
-        # walk, as it does at the paper's 1024-wide full size.  The wide
-        # hidden matters: the projection is BLAS-bound (grows with h**2)
-        # while the per-step costs both tiers share are numpy-call-
-        # overhead-bound, so a narrow build understates the tier gap.
+        # weights.  This keeps the real topology — unrolled lstm_step
+        # encoder, attention decoder, embeddings and the softmax/mean
+        # float tails — with a long sequence and a wide hidden state.
+        # Its whole graph is the bf16 float region, so every tier runs
+        # it on the reference walk, which projects each encoder layer's
+        # sequence once per query.
         graph = info.build(
             seq_len=288, hidden=512, layers=2,
             vocab=4096,  # row-bytes-ok: reduced BPE vocab, not a row size

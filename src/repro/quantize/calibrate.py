@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.gir import Graph
-from repro.graph.reference import execute_node
+from repro.graph.reference import bind_values, run_nodes
 
 
 @dataclass
@@ -38,19 +38,14 @@ def calibrate(graph: Graph, batches: list[dict[str, np.ndarray]]) -> Calibration
     if not batches:
         raise ValueError("calibration needs at least one batch")
     result = CalibrationResult()
+
+    def observe(name: str, value: np.ndarray) -> None:
+        if np.issubdtype(np.asarray(value).dtype, np.floating):
+            result.observe(name, value)
+
     for feeds in batches:
-        values: dict[str, np.ndarray] = {}
-        for name, tensor in graph.tensors.items():
-            if tensor.is_constant:
-                values[name] = tensor.data
+        values = bind_values(graph, feeds)
         for name in graph.inputs:
-            values[name] = np.asarray(feeds[name])
             result.observe(name, values[name])
-        for node in graph.nodes:
-            ins = [values[name] for name in node.inputs]
-            outs = execute_node(graph, node, ins)
-            for name, value in zip(node.outputs, outs, strict=False):
-                values[name] = value
-                if np.issubdtype(np.asarray(value).dtype, np.floating):
-                    result.observe(name, value)
+        run_nodes(graph, graph.nodes, values, observe=observe)
     return result

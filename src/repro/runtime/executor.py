@@ -35,6 +35,7 @@ from repro.engine.core import Event
 from repro.engine.resources import Resource
 from repro.graph.loadable import CompiledModel
 from repro.graph.partitioner import Segment
+from repro.graph.reference import Projections, bind_values, run_nodes
 from repro.ncore.codegen import (
     CODEGEN_ARTIFACT_KIND,
     MacroKernel,
@@ -51,7 +52,7 @@ from repro.obs.context import TraceContext, mint_trace
 from repro.obs.metrics import get_metrics
 from repro.obs.tracer import get_tracer
 from repro.runtime.driver import NcoreKernelDriver
-from repro.runtime.qkernels import _bind_values, _run_nodes
+from repro.runtime.qkernels import _execute_quantized_node
 from repro.soc.cha import ChaSoc
 
 #: ``--tier`` spellings accepted by :meth:`TierPolicy.for_tier` and the CLI.
@@ -256,7 +257,7 @@ class NcoreExecutor:
 
         def oracle(env: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
             scratch = dict(env)
-            _run_nodes(graph, segment.nodes, scratch)
+            run_nodes(graph, segment.nodes, scratch, _execute_quantized_node)
             return {name: scratch[name] for name in kernel.outputs}
 
         return oracle
@@ -271,14 +272,19 @@ class NcoreExecutor:
         Returns the outputs and how many macro-kernels ran.
         """
         graph = self.model.graph
-        values = _bind_values(graph, feeds)
+        values = bind_values(graph, feeds)
+        # One LSTM projection memo for the whole query, however its
+        # chains fall across segments.
+        projections: Projections = {}
         kernels = self._macro_kernels
         check_oracle = self.policy.oracle != "off"
         dispatched = 0
         for index, segment in enumerate(self.model.segments):
             kernel = kernels.get(index) if kernels is not None else None
             if kernel is None:
-                _run_nodes(graph, segment.nodes, values)
+                run_nodes(
+                    graph, segment.nodes, values, _execute_quantized_node, projections
+                )
                 continue
             oracle = (
                 self._segment_oracle(segment, kernel) if check_oracle else None

@@ -22,7 +22,12 @@ from repro.dtypes import (
     saturate,
 )
 from repro.graph.gir import Graph, GraphError, Node
-from repro.graph.reference import execute_node as execute_float_node
+from repro.graph.reference import (
+    Projections,
+    bind_values,
+    execute_node as execute_float_node,
+    run_nodes,
+)
 
 _ADD_SHIFT = 20  # fixed-point headroom for elementwise rescaling
 
@@ -241,31 +246,9 @@ def execute_quantized(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, n
     back to the reference float semantics.  This is the functional model
     of what the CompiledModel computes across Ncore and x86 segments.
     """
-    values = _bind_values(graph, feeds)
-    _run_nodes(graph, graph.nodes, values)
+    values = bind_values(graph, feeds)
+    run_nodes(graph, graph.nodes, values, _execute_quantized_node)
     return {name: values[name] for name in graph.outputs}
-
-
-def _bind_values(graph: Graph, feeds: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The environment a graph walk starts from: constants plus feeds."""
-    values: dict[str, np.ndarray] = {}
-    for name, tensor in graph.tensors.items():
-        if tensor.is_constant:
-            values[name] = tensor.data
-    for name in graph.inputs:
-        if name not in feeds:
-            raise GraphError(f"missing feed for graph input {name!r}")
-        values[name] = np.asarray(feeds[name])
-    return values
-
-
-def _run_nodes(graph: Graph, nodes: list[Node], values: dict[str, np.ndarray]) -> None:
-    """Execute ``nodes`` in order against ``values``, writing outputs back."""
-    for node in nodes:
-        ins = [values[name] for name in node.inputs]
-        outs = _execute_quantized_node(graph, node, ins)
-        for name, value in zip(node.outputs, outs, strict=False):
-            values[name] = value
 
 
 def _qp(graph: Graph, name: str) -> QuantParams:
@@ -283,8 +266,7 @@ def round_float_outputs(
     bf16 graphs round every intermediate to bfloat16 precision, as the OUT
     unit does when writing results back to the RAMs; float32 tensors pass
     through untouched.  This is the bit-exactness contract for the float
-    region — the Tier-3 float macro-kernels (:mod:`repro.ncore.codegen`)
-    replicate exactly this rounding per node output.
+    region, which always runs on the reference walk.
     """
     from repro.dtypes import NcoreDType, to_bfloat16
 
@@ -297,12 +279,17 @@ def round_float_outputs(
     return rounded
 
 
-def _execute_quantized_node(graph: Graph, node: Node, ins: list[np.ndarray]):
+def _execute_quantized_node(
+    graph: Graph,
+    node: Node,
+    ins: list[np.ndarray],
+    projections: Projections | None = None,
+) -> list[np.ndarray]:
     out_name = node.outputs[0]
     out_tensor = graph.tensor(out_name)
     if out_tensor.quant is None and node.op not in ("quantize",):
         # Float region: use the reference semantics (incl. dequantize).
-        outs = execute_float_node(graph, node, ins)
+        outs = execute_float_node(graph, node, ins, projections)
         return round_float_outputs(graph, node, outs)
     attrs = node.attrs
     act = attrs.get("activation", "none")

@@ -74,3 +74,33 @@ class TestGnmtExecution:
         b = execute_quantized(bg, feeds)["logits"]
         # bf16 rounding error stays small relative to the logit scale.
         assert np.abs(b - f).max() < 0.05 * max(1e-3, np.abs(f).max())
+
+    def test_each_encoder_layer_is_projected_once_per_query(self, monkeypatch):
+        from repro.graph import reference
+        from repro.runtime import NcoreExecutor, compile_model, execute_quantized
+
+        layers = 3
+        bg = convert_to_bf16(build_gnmt(seq_len=5, hidden=16, layers=layers, vocab=50))
+        feeds = {
+            "source_ids": np.array([[1, 2, 3, 4, 5]], np.int32),
+            "target_ids": np.array([[0, 1, 2, 3, 4]], np.int32),
+        }
+        executor = NcoreExecutor(compile_model(bg), verify=False, policy="codegen")
+        calls = []
+        project = reference.lstm_step_project
+
+        def counting(x_seq, wx):
+            calls.append(x_seq.shape)
+            return project(x_seq, wx)
+
+        monkeypatch.setattr(reference, "lstm_step_project", counting)
+        try:
+            for walk in (
+                lambda: execute_quantized(bg, feeds),
+                lambda: executor.execute(feeds),
+            ):
+                calls.clear()
+                walk()
+                assert len(calls) == layers
+        finally:
+            executor.close()

@@ -86,6 +86,17 @@ class TestCompileAndRun:
         save_graph(small_cnn(), tmp_path / "model")
         return str(tmp_path / "model")
 
+    @pytest.fixture
+    def saved_quantized_graph(self, tmp_path):
+        from repro.graph.frontends import save_graph
+        from repro.quantize import calibrate, quantize_graph
+        from tests.quantize.test_convert import calibration_batches, small_cnn
+
+        graph = small_cnn()
+        quantized = quantize_graph(graph, calibrate(graph, calibration_batches()))
+        save_graph(quantized, tmp_path / "qmodel")
+        return str(tmp_path / "qmodel")
+
     def test_compile_reports_summary(self, saved_graph, capsys):
         assert main(["compile", saved_graph]) == 0
         out = capsys.readouterr().out
@@ -157,9 +168,19 @@ class TestCompileAndRun:
         assert first == second
 
     @pytest.mark.parametrize("tier", ["reference", "codegen"])
-    def test_run_stamps_the_requested_tier(self, saved_graph, tier, capsys):
-        assert main(["run", saved_graph, "--tier", tier]) == 0
+    def test_run_stamps_the_requested_tier(self, saved_quantized_graph, tier, capsys):
+        assert main(["run", saved_quantized_graph, "--tier", tier]) == 0
         assert f"tier {tier})" in capsys.readouterr().out
+
+    def test_run_codegen_on_a_float_graph_names_the_reason(self, saved_graph, capsys):
+        from repro.ncore.codegen import FLOAT_REGION_REASON
+
+        # An O2 compile of a float graph emits no macro-kernel: its float
+        # region runs on the reference walk, and the error says so.
+        assert main(["run", saved_graph, "--tier", "codegen"]) == 1
+        captured = capsys.readouterr()
+        assert "tier reference)" in captured.out
+        assert FLOAT_REGION_REASON in captured.err
 
     def test_run_codegen_without_macro_kernels_fails(self, saved_graph, capsys):
         # An O0 compile emits no macro-kernels, so the query is served by
@@ -168,6 +189,7 @@ class TestCompileAndRun:
         captured = capsys.readouterr()
         assert "tier reference)" in captured.out
         assert "no macro-kernel ran" in captured.err
+        assert "no codegen artifact exists" in captured.err
 
 
 class TestTrace:

@@ -4,7 +4,9 @@ The machine-level ``RunResult`` was renamed ``MachineRunResult`` and its
 warn-once module alias is gone; the runtime tier ladder collapsed to the
 ``reference`` and ``codegen`` paths, dropping the fastpath/interpreter
 labels, the process-wide default policy, the legacy executor kwargs and
-the reserved ``predict`` tier.  These tests grep the source tree so a
+the reserved ``predict`` tier; the float-region codegen family and its
+``seqfuse`` variant were deleted once the reference walk projected each
+LSTM sequence once.  These tests grep the source tree so a
 stray reference (or a reintroduced shim) fails loudly rather than
 resurrecting the old name.
 """
@@ -88,3 +90,38 @@ def test_no_predict_tier_in_runtime():
         if "predict" in path.read_text()
     ]
     assert not offenders, f"'predict' resurfaced in the runtime: {offenders}"
+
+
+#: Names deleted with the float-region codegen lowering family.
+_DELETED_FLOAT_CODEGEN_NAMES = (
+    "FloatStep",
+    "FloatEvalStep",
+    "FloatMatmulStep",
+    "EmbeddingStep",
+    "FloatSliceStep",
+    "FloatConcatStep",
+    "FloatReshapeStep",
+    "LstmCellStep",
+    "LstmSeqStep",
+    "SeqFuseStep",
+    "CellFuseStep",
+    "STRATEGY_SEQFUSE",
+    "float_steps",
+    "seqfuse_variants",
+)
+
+
+def test_no_float_region_codegen_names():
+    pattern = re.compile(
+        r"\b(" + "|".join(_DELETED_FLOAT_CODEGEN_NAMES) + r")\b|seqfuse",
+        re.IGNORECASE,
+    )
+    offenders = [
+        f"{path}:{lineno}: {line.strip()}"
+        for path in _source_files()
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert not offenders, (
+        "deleted float-region codegen name resurfaced:\n" + "\n".join(offenders)
+    )
