@@ -13,9 +13,7 @@ Run:  python -m pytest benchmarks/bench_lint.py -q
 import time
 
 from repro.analyze import analyze_model
-from repro.graph.passes import default_pipeline
 from repro.models import PAPER_CHARACTERISTICS
-from repro.quantize import calibrate, quantize_graph
 from repro.runtime import compile_model
 
 MODEL_KEY = "resnet50_v15"
@@ -25,10 +23,7 @@ REPEATS = 3
 
 
 def _compiled_resnet():
-    info = PAPER_CHARACTERISTICS[MODEL_KEY]
-    graph = info.build()
-    default_pipeline().run(graph)
-    quantized = quantize_graph(graph, calibrate(graph, [info.sample_input(graph, seed=0)]))
+    quantized = PAPER_CHARACTERISTICS[MODEL_KEY].deployed_graph(seed=0)
     start = time.perf_counter()
     compiled = compile_model(quantized, optimize=False, name=MODEL_KEY, verify=False)
     return compiled, time.perf_counter() - start

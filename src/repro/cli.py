@@ -272,31 +272,22 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _zoo_pipeline(key: str, info, opt_level: str, seed: int):
+def _zoo_pipeline(info, opt_level: str, seed: int):
     """Compose the zoo compile pipeline: optimize -> quantize -> backend.
 
-    Zoo models follow the benchmark path — GCL optimization on the float
-    graph, then PTQ conversion (uint8; bf16 for GNMT), then the backend
-    stages.  Built as a custom :class:`~repro.compiler.Pipeline` so the
-    quantize step shows up in ``--dump-ir`` and stage stats like any
-    other stage.  The calibration seed is part of the pipeline id (and
-    therefore the cache key): different calibration data is a different
-    artifact.
+    The staged form of :meth:`~repro.models.ModelInfo.deployed_graph`,
+    followed by the backend stages.  Built as a custom
+    :class:`~repro.compiler.Pipeline` so the quantize step shows up in
+    ``--dump-ir`` and stage stats like any other stage.  The calibration
+    seed is part of the pipeline id (and therefore the cache key):
+    different calibration data is a different artifact.
     """
     from repro.compiler import Pipeline, Stage, get_pipeline
 
     def quantize(ctx):
-        from repro.quantize import calibrate, convert_to_bf16, quantize_graph
-
         nodes_before = len(ctx.graph.nodes)
-        if key == "gnmt":
-            ctx.graph = convert_to_bf16(ctx.graph)
-            mode = "bf16"
-        else:
-            batches = [info.sample_input(ctx.graph, seed=seed)]
-            ctx.graph = quantize_graph(ctx.graph, calibrate(ctx.graph, batches))
-            mode = "uint8"
-        return {"mode": mode, "nodes_before": nodes_before,
+        ctx.graph = info.convert(ctx.graph, seed)
+        return {"mode": info.precision, "nodes_before": nodes_before,
                 "nodes_after": len(ctx.graph.nodes)}
 
     preset = get_pipeline(opt_level)
@@ -344,15 +335,10 @@ def _cmd_compile(args) -> int:
         name = key
         info = PAPER_CHARACTERISTICS[key]
         graph = info.build()
-        pipeline = _zoo_pipeline(key, info, pipeline_id, args.seed)
+        pipeline = _zoo_pipeline(info, pipeline_id, args.seed)
     else:
-        from repro.graph.frontends import load_graph
-
-        try:
-            name, graph = args.target, load_graph(args.target)
-        except FileNotFoundError:
-            print(f"unknown model or graph path {args.target!r}; zoo keys: "
-                  f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
+        name, graph = args.target, _load_gir(args.target)
+        if graph is None:
             return 2
     if args.cache_dir:
         cache = CompileCache(directory=args.cache_dir)
@@ -460,35 +446,15 @@ def _sanitize_session(session, compiled, result, feeds, seed: int) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.models import sample_input
     from repro.runtime import InferenceSession, compile_model
 
-    try:
-        name, graph = _lint_target_graph(args.path, args.seed)
-    except FileNotFoundError:
-        from repro.models import PAPER_CHARACTERISTICS
-
-        print(f"unknown model or graph path {args.path!r}; zoo keys: "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
+    name, graph = _target_graph(args.path, args.seed)
+    if graph is None:
         return 2
     compiled = compile_model(graph, optimize=not args.no_optimize, name=name)
     session = InferenceSession(compiled, policy=args.tier)
-    key = _resolve_model_key(args.path)
-    if key is not None:
-        from repro.models import PAPER_CHARACTERISTICS
-
-        feeds = PAPER_CHARACTERISTICS[key].sample_input(
-            compiled.graph, seed=args.seed
-        )
-    else:
-        rng = np.random.default_rng(args.seed)
-        feeds = {}
-        for name in compiled.graph.inputs:
-            tensor = compiled.graph.tensor(name)
-            feeds[name] = (
-                rng.integers(0, 100, size=tensor.shape).astype(np.int32)
-                if tensor.type.dtype == "int32"
-                else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
-            )
+    feeds = sample_input(compiled.graph, seed=args.seed)
     result = session.run(feeds)
     for name, value in result.outputs.items():
         value = np.asarray(value)
@@ -517,29 +483,33 @@ def _cmd_run(args) -> int:
     return exit_code
 
 
-def _lint_target_graph(target: str, seed: int):
-    """Resolve a lint target into (display name, converted graph).
-
-    Zoo model keys follow the benchmark path (GCL pipeline + int8
-    quantization, bf16 for GNMT); anything else is treated as a serialized
-    GIR path and linted as-is.
-    """
-    from repro.compiler import optimize_graph
+def _load_gir(path: str):
+    """Load a serialized GIR; on a missing file print the unknown-target
+    error and return ``None``."""
+    from repro.graph.frontends import load_graph
     from repro.models import PAPER_CHARACTERISTICS
-    from repro.quantize import calibrate, convert_to_bf16, quantize_graph
+
+    try:
+        return load_graph(path)
+    except FileNotFoundError:
+        print(f"unknown model or graph path {path!r}; zoo keys: "
+              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
+        return None
+
+
+def _target_graph(target: str, seed: int):
+    """Resolve a ``run``/``lint`` target into (display name, graph).
+
+    A zoo model key yields its deployed graph
+    (:meth:`~repro.models.ModelInfo.deployed_graph`); anything else is
+    loaded as a serialized GIR (``None`` when there is no such file).
+    """
+    from repro.models import PAPER_CHARACTERISTICS
 
     key = _resolve_model_key(target)
     if key is not None:
-        info = PAPER_CHARACTERISTICS[key]
-        graph = info.build()
-        optimize_graph(graph, in_place=True)
-        if key == "gnmt":
-            return key, convert_to_bf16(graph)
-        batches = [info.sample_input(graph, seed=seed)]
-        return key, quantize_graph(graph, calibrate(graph, batches))
-    from repro.graph.frontends import load_graph
-
-    return target, load_graph(target)
+        return key, PAPER_CHARACTERISTICS[key].deployed_graph(seed=seed)
+    return target, _load_gir(target)
 
 
 def _cmd_lint(args) -> int:
@@ -554,13 +524,8 @@ def _cmd_lint(args) -> int:
     )
     from repro.runtime import compile_model
 
-    try:
-        name, graph = _lint_target_graph(args.target, args.seed)
-    except FileNotFoundError:
-        from repro.models import PAPER_CHARACTERISTICS
-
-        print(f"unknown model or graph path {args.target!r}; zoo keys: "
-              f"{sorted(PAPER_CHARACTERISTICS)}", file=sys.stderr)
+    name, graph = _target_graph(args.target, args.seed)
+    if graph is None:
         return 2
     if args.graph_only and (args.hazards or args.dot):
         print("--hazards/--dot need the lowered loadables; "

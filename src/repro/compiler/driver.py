@@ -178,9 +178,10 @@ def optimize_graph(
     """Run just the GCL optimize stage (spans + stats, no lowering).
 
     The front-end half of the driver for callers that optimize a float
-    graph before quantization (``perf.system``, the lint CLI) — the same
-    registered stage the full pipelines run, so instrumentation and
-    fixed-point warnings behave identically.  Returns the optimized
+    graph before quantization (``ModelInfo.deployed_graph``, which every
+    zoo entry point goes through) — the same registered stage the full
+    pipelines run, so instrumentation and fixed-point warnings behave
+    identically.  Returns the optimized
     graph: the caller's object with ``in_place=True``, a copy otherwise.
     """
     from repro.compiler.stages import get_stage

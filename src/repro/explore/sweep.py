@@ -28,14 +28,13 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.analyze import AnalysisError
-from repro.compiler import CompileCache, CompilerError, compile_graph, optimize_graph
+from repro.compiler import CompileCache, CompilerError, compile_graph
 from repro.explore.energy import area_model, energy_model
 from repro.explore.space import DesignPoint
 from repro.graph.gir import Graph
 from repro.graph.planner import PlanningError
 from repro.models import PAPER_CHARACTERISTICS
 from repro.perf.report import render_table
-from repro.quantize import calibrate, convert_to_bf16, quantize_graph
 
 DEFAULT_MODELS: tuple[str, ...] = ("mobilenet_v1",)
 
@@ -181,21 +180,13 @@ class SweepResult:
 
 
 def _prepare_model(key: str) -> tuple[Graph, int, int]:
-    """Build + optimize + quantize once; returns (graph, macs, io_bytes)."""
-    info = PAPER_CHARACTERISTICS[key]
-    graph = info.build()
-    optimize_graph(graph, in_place=True)
-    if key == "gnmt":
-        converted = convert_to_bf16(graph)
-    else:
-        converted = quantize_graph(
-            graph, calibrate(graph, [info.sample_input(graph, seed=100)])
-        )
-    macs = int(graph.count_macs())
-    io_bytes = 0
-    for name in list(converted.inputs) + list(converted.outputs):
-        io_bytes += int(converted.tensor(name).type.num_bytes)
-    return converted, macs, io_bytes
+    """The deployed graph, once per sweep; returns (graph, macs, io_bytes)."""
+    graph = PAPER_CHARACTERISTICS[key].deployed_graph(seed=100)
+    io_bytes = sum(
+        int(graph.tensor(name).type.num_bytes)
+        for name in list(graph.inputs) + list(graph.outputs)
+    )
+    return graph, int(graph.count_macs()), io_bytes
 
 
 def _score_point(

@@ -14,14 +14,14 @@ from repro.models.gnmt import build_gnmt
 from repro.models.mobilenet import build_mobilenet_v1
 from repro.models.resnet import build_resnet50_v15
 from repro.models.ssd import build_ssd_mobilenet_v1
-from repro.models.zoo import MODEL_BUILDERS, ModelInfo, PAPER_CHARACTERISTICS
+from repro.models.zoo import PAPER_CHARACTERISTICS, ModelInfo, sample_input
 
 __all__ = [
-    "MODEL_BUILDERS",
     "ModelInfo",
     "PAPER_CHARACTERISTICS",
     "build_gnmt",
     "build_mobilenet_v1",
     "build_resnet50_v15",
     "build_ssd_mobilenet_v1",
+    "sample_input",
 ]

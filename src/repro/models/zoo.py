@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -26,26 +26,53 @@ class ModelInfo:
     paper_weights: float       # Table V
     paper_macs_per_weight: int
 
-    def build(self, **kwargs) -> Graph:
+    def build(self, **kwargs: Any) -> Graph:
         return self.builder(**kwargs)
 
     def sample_input(self, graph: Graph, seed: int = 0) -> dict[str, np.ndarray]:
         """A synthetic input batch matching the graph's inputs."""
-        rng = np.random.default_rng(seed)
-        # int32 inputs are token ids; keep them inside the smallest
-        # embedding table so reduced-vocab bench builds stay in range.
-        high = 1000
-        for node in graph.find_nodes("embedding"):
-            high = min(high, graph.tensor(node.inputs[0]).shape[0])
-        feeds: dict[str, np.ndarray] = {}
-        for name in graph.inputs:
-            tensor = graph.tensor(name)
-            feeds[name] = (
-                rng.integers(0, high, size=tensor.shape).astype(np.int32)
-                if tensor.type.dtype == "int32"
-                else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
-            )
-        return feeds
+        return sample_input(graph, seed)
+
+    @property
+    def precision(self) -> str:
+        """Deployed datatype: GNMT ran in bfloat16, the CNNs in uint8."""
+        return "bf16" if self.key == "gnmt" else "uint8"
+
+    def convert(self, graph: Graph, seed: int = 0) -> Graph:
+        """Convert a float graph to :attr:`precision`; uint8 PTQ calibrates
+        on one ``sample_input(graph, seed)`` batch."""
+        from repro.quantize import calibrate, convert_to_bf16, quantize_graph
+
+        if self.precision == "bf16":
+            return convert_to_bf16(graph)
+        return quantize_graph(graph, calibrate(graph, [sample_input(graph, seed)]))
+
+    def deployed_graph(self, seed: int = 0, **build_kwargs: Any) -> Graph:
+        """The graph every zoo entry point compiles (section VI): build,
+        GCL-optimize in place, then :meth:`convert`."""
+        from repro.compiler import optimize_graph
+
+        return self.convert(
+            optimize_graph(self.build(**build_kwargs), in_place=True), seed
+        )
+
+
+def sample_input(graph: Graph, seed: int = 0) -> dict[str, np.ndarray]:
+    """A seeded synthetic input batch: floats uniform in [-1, 1), int32
+    token ids below the smallest embedding table (1000 without one)."""
+    rng = np.random.default_rng(seed)
+    high = 1000
+    for node in graph.find_nodes("embedding"):
+        high = min(high, graph.tensor(node.inputs[0]).shape[0])
+    feeds: dict[str, np.ndarray] = {}
+    for name in graph.inputs:
+        tensor = graph.tensor(name)
+        feeds[name] = (
+            rng.integers(0, high, size=tensor.shape).astype(np.int32)
+            if tensor.type.dtype == "int32"
+            else rng.uniform(-1, 1, size=tensor.shape).astype(np.float32)
+        )
+    return feeds
 
 
 PAPER_CHARACTERISTICS: dict[str, ModelInfo] = {
@@ -86,5 +113,3 @@ PAPER_CHARACTERISTICS: dict[str, ModelInfo] = {
         paper_macs_per_weight=30,
     ),
 }
-
-MODEL_BUILDERS = {key: info.builder for key, info in PAPER_CHARACTERISTICS.items()}

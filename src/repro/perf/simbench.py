@@ -83,46 +83,36 @@ def measure_inner_loop(
     }
 
 
-def compile_zoo_model(model_key: str = "mobilenet_v1"):
-    """Convert and O2-compile one zoo model; returns ``(model, feeds)``.
+#: Reduced builds that keep the simulator baselines cheap enough for CI
+#: while still walking every layer.  Full-size GNMT holds 131 M bf16
+#: weights; its reduced build keeps the real topology — unrolled
+#: lstm_step encoder, attention decoder, embeddings and the softmax/mean
+#: float tails — with a long sequence and a wide hidden state.  ResNet-50
+#: and SSD build at full size.
+REDUCED_BUILDS: dict[str, dict[str, int]] = {
+    "mobilenet_v1": {"resolution": 64},
+    "gnmt": {
+        "seq_len": 288, "hidden": 512, "layers": 2,
+        "vocab": 4096,  # row-bytes-ok: reduced BPE vocab, not a row size
+    },
+}
 
-    Uses a reduced-resolution MobileNet build when available so the
-    baseline stays cheap enough for CI while still walking every layer.
-    GNMT takes the bf16 path (it has no int8 recipe); everything else is
-    int8-quantized off a single calibration batch.  Compiling at O2 means
-    the Tier-3 ``codegen`` stage runs and the macro-kernel artifact lands
-    in the compile cache, so sessions opened on the result can use any
-    tier.
+
+def compile_zoo_model(model_key: str = "mobilenet_v1"):
+    """O2-compile one zoo model's deployed graph at its
+    :data:`REDUCED_BUILDS` size; returns ``(model, calibration feeds)``.
+
+    Compiling at O2 means the Tier-3 ``codegen`` stage runs and the
+    macro-kernel artifact lands in the compile cache, so sessions opened
+    on the result can use any tier.
     """
-    from repro.models import PAPER_CHARACTERISTICS
-    from repro.quantize import calibrate, convert_to_bf16, quantize_graph
+    from repro.models import PAPER_CHARACTERISTICS, sample_input
     from repro.runtime.delegate import compile_model
 
-    info = PAPER_CHARACTERISTICS[model_key]
-    if model_key == "gnmt":
-        # Reduced GNMT build (same precedent as the reduced-resolution
-        # MobileNet below): full 1024-wide 8-layer GNMT holds 131 M bf16
-        # weights.  This keeps the real topology — unrolled lstm_step
-        # encoder, attention decoder, embeddings and the softmax/mean
-        # float tails — with a long sequence and a wide hidden state.
-        # Its whole graph is the bf16 float region, so every tier runs
-        # it on the reference walk, which projects each encoder layer's
-        # sequence once per query.
-        graph = info.build(
-            seq_len=288, hidden=512, layers=2,
-            vocab=4096,  # row-bytes-ok: reduced BPE vocab, not a row size
-        )
-    else:
-        try:
-            graph = info.build(resolution=64)
-        except TypeError:
-            graph = info.build()
-    feeds = info.sample_input(graph, seed=0)
-    if model_key == "gnmt":
-        converted = convert_to_bf16(graph)
-    else:
-        converted = quantize_graph(graph, calibrate(graph, [feeds]))
-    return compile_model(converted, name=model_key), feeds
+    graph = PAPER_CHARACTERISTICS[model_key].deployed_graph(
+        seed=0, **REDUCED_BUILDS.get(model_key, {})
+    )
+    return compile_model(graph, name=model_key), sample_input(graph, seed=0)
 
 
 def measure_zoo_end_to_end(

@@ -1,8 +1,9 @@
 """The full-system benchmark model: one evaluated model on one CHA.
 
 Reproduces the measurement pipeline of section VI: build the model with
-synthetic weights, convert it (uint8 PTQ for the CNNs, bfloat16 for GNMT),
-compile through the GCL/NKL, and combine the simulated Ncore portion with
+synthetic weights, GCL-optimize and convert it (uint8 PTQ for the CNNs,
+bfloat16 for GNMT; :meth:`~repro.models.ModelInfo.deployed_graph`),
+compile through the NKL, and combine the simulated Ncore portion with
 the modelled x86 portion into SingleStream latency and Offline throughput.
 
 GNMT ran through full TensorFlow "due to framework compatibility" with an
@@ -19,13 +20,11 @@ import functools
 
 import numpy as np
 
-from repro.compiler import optimize_graph
 from repro.graph.loadable import CompiledModel
 from repro.models import PAPER_CHARACTERISTICS, ModelInfo
 from repro.ncore.config import NcoreConfig
 from repro.perf.scaling import expected_throughput, observed_throughput
 from repro.perf.workloads import X86Portion, x86_portion_seconds
-from repro.quantize import calibrate, convert_to_bf16, quantize_graph
 from repro.runtime.delegate import (
     DELEGATE_TRANSITION_SECONDS,
     _x86_node_cost,
@@ -50,8 +49,6 @@ class BenchmarkSystem:
         self,
         model_key: str,
         ncore_config: NcoreConfig | None = None,
-        calibration_batches: int = 1,
-        build_kwargs: dict | None = None,
         soc_config: SocConfig | None = None,
     ) -> None:
         self.model_key = model_key
@@ -61,19 +58,9 @@ class BenchmarkSystem:
         self.soc_config = soc_config or SocConfig()
         self.core = X86Core(clock_hz=DEFAULT_CLOCK_HZ)
 
-        graph = self.info.build(**(build_kwargs or {}))
-        self.float_graph_nodes = len(graph.nodes)
-        optimize_graph(graph, in_place=True)
-        if model_key == "gnmt":
-            converted = convert_to_bf16(graph)
-        else:
-            batches = [
-                self.info.sample_input(graph, seed=100 + i)
-                for i in range(calibration_batches)
-            ]
-            converted = quantize_graph(graph, calibrate(graph, batches))
         self.compiled: CompiledModel = compile_model(
-            converted, config=self.config, optimize=False, name=model_key
+            self.info.deployed_graph(seed=100),
+            config=self.config, optimize=False, name=model_key,
         )
 
     # ------------------------------------------------------------------

@@ -10,22 +10,16 @@ for and be *rejected* against a smaller one.
 import pytest
 
 from repro.analyze import AnalysisError, analyze_model, enforce
-from repro.compiler import compile_graph, optimize_graph
+from repro.compiler import compile_graph
 from repro.models import PAPER_CHARACTERISTICS
 from repro.ncore.config import NcoreConfig
-from repro.quantize import calibrate, quantize_graph
 
 
 @pytest.fixture(scope="module")
 def tall_model():
     """MobileNet compiled for a narrow, tall Ncore (8 slices, 4096 rows):
     its pinned weights span more rows than the shipped RAM has."""
-    info = PAPER_CHARACTERISTICS["mobilenet_v1"]
-    graph = info.build()
-    optimize_graph(graph, in_place=True)
-    quantized = quantize_graph(
-        graph, calibrate(graph, [info.sample_input(graph, seed=100)])
-    )
+    quantized = PAPER_CHARACTERISTICS["mobilenet_v1"].deployed_graph(seed=100)
     config = NcoreConfig(slices=8, sram_rows=4096)
     return compile_graph(quantized, config=config, name="mnv1_tall", cache=None), config
 

@@ -23,7 +23,7 @@ from repro.graph.partitioner import partition
 from repro.graph.planner import Prefetch, RowRange
 from repro.isa import assemble
 from repro.isa.instruction import DMAOp
-from repro.models import MODEL_BUILDERS
+from repro.models import PAPER_CHARACTERISTICS
 from repro.nkl.lower import lower_segment
 from repro.runtime.delegate import compile_model
 
@@ -77,7 +77,7 @@ class TestLoadableClean:
         assert not any(d.rule.startswith("hazard.") for d in report)
 
     def test_mobilenet_has_no_hazards(self):
-        compiled = compile_model(MODEL_BUILDERS["mobilenet_v1"]())
+        compiled = compile_model(PAPER_CHARACTERISTICS["mobilenet_v1"].build())
         report = analyze_model(compiled)
         hazards = [d for d in report if d.rule.startswith("hazard.")]
         assert not hazards, [d.message for d in hazards]

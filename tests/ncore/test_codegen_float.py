@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.compiler import compile_graph, optimize_graph
-from repro.models.gnmt import build_gnmt
+from repro.compiler import compile_graph
+from repro.models import PAPER_CHARACTERISTICS
 from repro.ncore.codegen import FLOAT_REGION_REASON
-from repro.quantize import convert_to_bf16
 from repro.runtime import NcoreExecutor, execute_quantized
 
 
 def tiny_gnmt(seq_len=4, hidden=32, layers=2, vocab=100):
-    graph = build_gnmt(seq_len=seq_len, hidden=hidden, layers=layers, vocab=vocab)
-    optimize_graph(graph, in_place=True)
-    return convert_to_bf16(graph)
+    return PAPER_CHARACTERISTICS["gnmt"].deployed_graph(
+        seq_len=seq_len, hidden=hidden, layers=layers, vocab=vocab
+    )
 
 
 def gnmt_feeds(graph, seed=7):

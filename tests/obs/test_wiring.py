@@ -80,16 +80,13 @@ class TestSocWiring:
 class TestRuntimeWiring:
     @pytest.fixture(scope="class")
     def compiled(self):
+        from repro.models import sample_input
         from repro.quantize import calibrate, quantize_graph
         from repro.runtime import compile_model
         from tests.quantize.test_convert import small_cnn
 
         graph = small_cnn()
-        rng = np.random.default_rng(0)
-        feeds = {
-            name: rng.uniform(-1, 1, size=graph.tensor(name).shape).astype(np.float32)
-            for name in graph.inputs
-        }
+        feeds = sample_input(graph)
         quantized = quantize_graph(graph, calibrate(graph, [feeds]))
         return quantize_graph, quantized, feeds
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import compile_graph
+from repro.models import sample_input
 from repro.ncore.config import NcoreConfig
 from repro.quantize import calibrate, quantize_graph
 from repro.runtime import NcoreExecutor, execute_quantized
@@ -35,10 +36,7 @@ def quantized():
 
 @pytest.fixture(scope="module")
 def feeds(quantized):
-    name = quantized.inputs[0]
-    shape = quantized.tensor(name).shape
-    rng = np.random.default_rng(7)
-    return {name: rng.uniform(-1.0, 1.0, shape).astype(np.float32)}
+    return sample_input(quantized, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -89,15 +87,9 @@ class TestNonDefaultConfig:
         executor below owns a matching Ncore, so construction must not
         raise (it did when verify always used ``NcoreConfig()``).
         """
-        from repro.compiler import optimize_graph
         from repro.models import PAPER_CHARACTERISTICS
 
-        info = PAPER_CHARACTERISTICS["mobilenet_v1"]
-        graph = info.build()
-        optimize_graph(graph, in_place=True)
-        quantized = quantize_graph(
-            graph, calibrate(graph, [info.sample_input(graph, seed=100)])
-        )
+        quantized = PAPER_CHARACTERISTICS["mobilenet_v1"].deployed_graph(seed=100)
         config = NcoreConfig(slices=8, sram_rows=4096)
         result = compile_graph(quantized, config=config, name="mnv1_tall", cache=None)
         plan = result.model.loadables[result.model.ncore_segments[0]].memory_plan

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -32,10 +34,13 @@ class TestModels:
 
 class TestBench:
     def test_benchmarks_a_model(self, capsys):
-        assert main(["bench", "mobilenet_v1"]) == 0
+        # --tier also times simbench's reduced deployed graph.
+        assert main(["bench", "mobilenet_v1", "--tier", "codegen"]) == 0
         out = capsys.readouterr().out
         assert "SingleStream latency" in out
         assert "Offline throughput" in out
+        coverage = re.search(r"Codegen coverage:\s+(\d+)%", out)
+        assert coverage is not None and int(coverage.group(1)) > 0, out
 
     def test_unknown_model_errors(self, capsys):
         assert main(["bench", "alexnet"]) == 2
@@ -166,6 +171,18 @@ class TestCompileAndRun:
         main(["run", saved_graph, "--seed", "3"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_run_keeps_saved_token_ids_inside_the_vocab(self, tmp_path, capsys):
+        from repro.graph.frontends import save_graph
+        from repro.models import build_gnmt
+        from repro.quantize import convert_to_bf16
+
+        # A 50-word vocab: token ids must be drawn below the smallest
+        # embedding table, not below a fixed 100.
+        graph = convert_to_bf16(build_gnmt(seq_len=5, hidden=16, layers=2, vocab=50))
+        save_graph(graph, tmp_path / "gnmt")
+        assert main(["run", str(tmp_path / "gnmt")]) == 0
+        assert "latency" in capsys.readouterr().out
 
     @pytest.mark.parametrize("tier", ["reference", "codegen"])
     def test_run_stamps_the_requested_tier(self, saved_quantized_graph, tier, capsys):

@@ -68,10 +68,9 @@ class TestMobileNetPipeline:
     def test_cycle_estimate_scales_with_resolution(self):
         def cycles(resolution):
             info = PAPER_CHARACTERISTICS["mobilenet_v1"]
-            g = build_mobilenet_v1(resolution=resolution)
-            default_pipeline().run(g)
-            qg = quantize_graph(g, calibrate(g, [info.sample_input(g)]))
-            return compile_model(qg, optimize=False).ncore_cycles()
+            return compile_model(
+                info.deployed_graph(resolution=resolution), optimize=False
+            ).ncore_cycles()
 
         # 2x the resolution ~= 4x the pixels; the cycle count must track
         # it within the tiling slack.  (At tiny resolutions the late
